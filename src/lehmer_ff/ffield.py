@@ -21,6 +21,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidDegree,
+    InvalidInput,
     InvalidPrime,
     ParseError,
 )
@@ -292,7 +293,11 @@ class FieldElement:
                 raise FieldMismatch("elements of different fields")
             return other.val
         if isinstance(other, int):
-            return other % self.spec.q if self.spec.k == 1 else other
+            if self.spec.k == 1:
+                return other % self.spec.q
+            if not 0 <= other < self.spec.q:
+                raise InvalidInput(f"encoding {other} out of range for {self.spec!r}")
+            return other
         return NotImplemented
 
     def __add__(self, other):

@@ -55,7 +55,7 @@ def _add_cv(spec: FieldSpec, a, b):
 
 
 def _sub_cv(spec: FieldSpec, a, b):
-    sub, neg = spec.sub, spec.neg
+    sub = spec.sub
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = sub(out[i], v)

@@ -8,7 +8,7 @@ division early when the remaining cofactor is prime.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InvalidInput, UndefinedValuation
 
@@ -165,7 +165,3 @@ def ord2(n: int) -> int:
     if n < 1:
         raise InvalidInput(f"ord2 undefined for {n}")
     return (n & -n).bit_length() - 1
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .cyclo import cyclotomic_eval, ord_p, primitive_part, zsigmondy
 from .errors import InvalidInput
 from .ffield import FieldSpec, field_from_order
-from .fpoly import Poly, enumerate_polys, factor, irreducibles, poly_gcd, poly_powmod
+from .fpoly import Poly, enumerate_polys, irreducibles, poly_gcd, poly_powmod
 from .intmath import euler_phi, ord2, phi_sieve, sigma_sieve, valuation
 from .lehmer_search import (
     Partition,
@@ -28,7 +28,13 @@ from .lehmer_search import (
     partitions_of,
     verify_prop36,
 )
-from .totient import is_lehmer, lehmer_set, totient, totient_bruteforce
+from .totient import (
+    hit_structure_violations,  # noqa: F401  (re-exported)
+    is_lehmer,
+    lehmer_set_bruteforce,
+    totient,
+    totient_bruteforce,
+)
 
 SUITE_NAMES = (
     "main-theorem",
@@ -138,7 +144,7 @@ def suite_main_theorem(
     for order in orders:
         spec = field_from_order(order)
         bound = max_degree or DEFAULT_SWEEP_DEGREE.get(order, FALLBACK_SWEEP_DEGREE)
-        found = set(lehmer_set(spec, bound, workers=workers))
+        found = set(lehmer_set_bruteforce(spec, bound, workers=workers))
         expected = expected_lehmer_monic(spec)
         report.add_diff(
             f"q={order} monic sweep to degree {bound}",
@@ -146,7 +152,9 @@ def suite_main_theorem(
             {str(f) for f in sorted(found, key=Poly.sort_key)},
         )
         if order == 3:
-            expanded = lehmer_set(spec, bound, expand_units=True, workers=workers)
+            expanded = lehmer_set_bruteforce(
+                spec, bound, expand_units=True, workers=workers
+            )
             report.add(
                 f"q={order} unit expansion yields {2 * len(expected)} polynomials",
                 len(expanded) == 2 * len(expected),
@@ -353,10 +361,14 @@ def suite_bounds(limit: int = 100_000) -> SuiteReport:
         bad_h,
     )
     phi = phi_sieve(limit)
-    c4 = {1: (59**4, 100**4), 2: (70**4, 100**4), 3: (84**4, 100**4)}
+    c4: dict[int, tuple[int, int]] = {}  # ord2(n) -> c(n)^4 as (num, den)
     bad_phi = []
     for n in range(2, limit + 1):
-        num4, den4 = c4.get(ord2(n), (1, 1))
+        v = ord2(n)
+        if v not in c4:
+            c = c_factor(n)
+            c4[v] = (c.numerator**4, c.denominator**4)
+        num4, den4 = c4[v]
         if phi[n] ** 4 * den4 <= num4 * n**3:
             bad_phi.append(n)
     report.add(
@@ -461,23 +473,6 @@ def divisibility_structure_violations(n_max: int = 24) -> list[str]:
     return bad
 
 
-def hit_structure_violations(spec: FieldSpec, hits: list[Poly]) -> list[str]:
-    """Squarefreeness, factor-degree divisibility, and the distinct-factor
-    lower bound floor(log2(q+1)), checked on a finished sweep."""
-    min_factors = (spec.q + 1).bit_length() - 1
-    bad = []
-    for f in hits:
-        fac = factor(f)
-        deg = len(f.cv) - 1
-        if not fac.is_squarefree():
-            bad.append(f"{f}: not squarefree")
-        if any(deg % (len(p.cv) - 1) for p, _ in fac.factors):
-            bad.append(f"{f}: factor degree does not divide {deg}")
-        if fac.distinct_count < min_factors:
-            bad.append(f"{f}: only {fac.distinct_count} distinct factors")
-    return bad
-
-
 def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str]:
     bad = []
     for n in range(1, max_degree + 1):
@@ -490,16 +485,6 @@ def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str
                 if in_l_u != in_l or totient(g) != base_phi:
                     bad.append(f"{f} vs unit multiple {g}")
     return bad
-
-
-def zsigmondy_exceptions(a_max: int = 12, n_max: int = 30) -> set[tuple[int, int]]:
-    """(a, n) pairs with b = 1 and no primitive prime divisor."""
-    return {
-        (a, n)
-        for a in range(2, a_max + 1)
-        for n in range(2, n_max + 1)
-        if primitive_part(a, 1, n) == 1
-    }
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:

@@ -8,20 +8,25 @@ totient counts the residues coprime to f:
 which is also q^n * prod_i (1 - q^(-n_i)).  The zero residue is never
 coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
 
-``lehmer_set`` enumerates every monic f up to a degree bound and keeps
-the reducible ones whose totient divides q^deg(f) - 1.  The sweep is the
-brute-force side of the classification; known structural facts about
-the hits (squarefreeness, factor-degree divisibility, a lower bound on
-the number of distinct factors) are asserted on the result as a guard.
+``lehmer_set`` collects every monic reducible f up to a degree bound
+whose totient divides q^deg(f) - 1.  It tests factor-degree shapes with
+the partition condition prod(q^{e_i} - 1) | q^n - 1 of
+``lehmer_search.mersenne_divisibility`` and multiplies out the passing
+ones; ``lehmer_set_bruteforce`` factors every monic f instead and is its
+independent oracle.  Both check known structural facts about the hits
+(squarefreeness, factor-degree divisibility, a lower bound on the number
+of distinct factors) on the result as a guard.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations, product
+from math import prod
 
 from .errors import InvalidInput, OracleOverflow, VerificationError
-from .ffield import FieldElement, FieldSpec, field_make
+from .ffield import FieldSpec, field_make
 from .fpoly import (
     Factorization,
     Poly,
@@ -30,7 +35,11 @@ from .fpoly import (
     _factor_cv,
     _gcd_cv,
     factor,
+    irreducible_count,
+    irreducibles,
 )
+from .intmath import divisors
+from .lehmer_search import Partition, mersenne_divisibility
 
 ORACLE_CAP = 1 << 24
 
@@ -120,6 +129,39 @@ def is_lehmer(f: Poly) -> tuple[bool, bool, TotientReport]:
     return in_script_l, in_script_l and report.reducible, report
 
 
+def lehmer_shapes(q: int, n: int) -> list[tuple[int, ...]]:
+    """Factor-degree shapes of the degree-n hits over F_q.
+
+    A hit is squarefree (q divides phi otherwise), so its phi is
+    prod(q^{e_i} - 1) over its factor degrees e_i, and q^e - 1 divides
+    q^n - 1 only if e | n.  The candidates are therefore the partitions
+    of n into proper divisors of n (hence into at least two parts) in
+    which a part d occurs at most ``irreducible_count(q, d)`` times; the
+    shapes returned are the nondecreasing candidates that pass
+    ``mersenne_divisibility``.
+    """
+    divs = [d for d in divisors(n) if d < n]
+    caps = [irreducible_count(q, d) for d in divs]
+    return [
+        parts
+        for parts in _capped_partitions(n, divs, caps)
+        if mersenne_divisibility(q, Partition(parts))
+    ]
+
+
+def _capped_partitions(n: int, divs: list[int], caps: list[int]):
+    """Nondecreasing tuples summing to n with divs[i] used <= caps[i] times."""
+    if n == 0:
+        yield ()
+        return
+    if not divs:
+        return
+    d, rest_divs = divs[-1], divs[:-1]
+    for u in range(min(caps[-1], n // d), -1, -1):
+        for rest in _capped_partitions(n - u * d, rest_divs, caps[:-1]):
+            yield rest + (d,) * u
+
+
 def lehmer_set(
     spec: FieldSpec,
     max_degree: int,
@@ -129,19 +171,72 @@ def lehmer_set(
     """All f with 1 <= deg(f) <= max_degree whose totient divides
     q^deg(f) - 1 and which are reducible.
 
+    Built from :func:`lehmer_shapes`: each passing shape is realised as
+    every product of distinct monic irreducibles of those degrees, so
+    only the degrees in a passing shape need an irreducible sieve.
+    ``workers`` is validated and otherwise unused; it shards only
+    :func:`lehmer_set_bruteforce`.
+
     Monic representatives by default; with ``expand_units`` every monic
     hit is multiplied by every unit.  Sorted by (degree, encoding).
     """
+    _check_sweep_args(max_degree, workers)
+    hits: list[Poly] = []
+    for n in range(2, max_degree + 1):
+        for parts in lehmer_shapes(spec.q, n):
+            pools = [
+                combinations(irreducibles(spec, d), parts.count(d))
+                for d in sorted(set(parts))
+            ]
+            for choice in product(*pools):
+                factors = [g for group in choice for g in group]
+                hits.append(prod(factors, start=Poly.one(spec)))
+    hits.sort(key=Poly.sort_key)
+    return _finish(spec, hits, expand_units)
+
+
+def lehmer_set_bruteforce(
+    spec: FieldSpec,
+    max_degree: int,
+    expand_units: bool = False,
+    workers: int = 1,
+) -> list[Poly]:
+    """:func:`lehmer_set` by factoring every monic polynomial in range.
+
+    Exponential by design; the independent oracle for :func:`lehmer_set`.
+    Each degree's encoding range is split into ``workers`` contiguous
+    blocks scanned in separate processes and merged in block order, so
+    the result does not depend on the worker count.  Raises
+    OracleOverflow if the scan would exceed ``ORACLE_CAP`` polynomials.
+    """
+    _check_sweep_args(max_degree, workers)
+    q = spec.q
+    scanned = sum(q**n for n in range(1, max_degree + 1))
+    if scanned > ORACLE_CAP:
+        raise OracleOverflow(
+            f"sweeping {scanned} monic polys over F_{q} to degree "
+            f"{max_degree} exceeds the oracle cap {ORACLE_CAP}"
+        )
+    hits: list[Poly] = []
+    for n in range(1, max_degree + 1):
+        lo, hi = _code_span(q, n, monic_only=True)
+        for code in _scan_codes(spec, n, lo, hi, workers):
+            hits.append(Poly._raw(spec, _decode_cv(q, code)))
+    return _finish(spec, hits, expand_units)
+
+
+def _check_sweep_args(max_degree: int, workers: int) -> None:
     if max_degree < 1:
         raise InvalidInput("max_degree must be >= 1")
     if workers < 1:
         raise InvalidInput("workers must be >= 1")
-    hits: list[Poly] = []
-    for n in range(1, max_degree + 1):
-        lo, hi = _code_span(spec.q, n, monic_only=True)
-        for code in _scan_codes(spec, n, lo, hi, workers):
-            hits.append(Poly._raw(spec, _decode_cv(spec.q, code)))
-    _assert_structure(spec, hits)
+
+
+def _finish(spec: FieldSpec, hits: list[Poly], expand_units: bool) -> list[Poly]:
+    """Guard the sorted monic hits, then optionally expand by units."""
+    bad = hit_structure_violations(spec, hits)
+    if bad:
+        raise VerificationError("; ".join(bad))
     if expand_units:
         expanded = [f * u for f in hits for u in spec.units()]
         expanded.sort(key=Poly.sort_key)
@@ -180,22 +275,18 @@ def _sweep_block(p: int, k: int, n: int, lo: int, hi: int) -> list[int]:
     return hits
 
 
-def _assert_structure(spec: FieldSpec, hits: list[Poly]) -> None:
-    """Structural facts every hit must satisfy; a failure is a bug."""
-    min_factors = (spec.q + 1).bit_length() - 1  # floor(log2(q + 1))
+def hit_structure_violations(spec: FieldSpec, hits: list[Poly]) -> list[str]:
+    """Squarefreeness, factor-degree divisibility, and the distinct-factor
+    lower bound floor(log2(q+1)), checked on a finished sweep."""
+    min_factors = (spec.q + 1).bit_length() - 1
+    bad = []
     for f in hits:
         fac = factor(f)
         deg = len(f.cv) - 1
         if not fac.is_squarefree():
-            raise VerificationError(f"non-squarefree hit {f}")
-        if any((deg % (len(p.cv) - 1)) != 0 for p, _ in fac.factors):
-            raise VerificationError(f"factor degree does not divide deg({f})")
+            bad.append(f"{f}: not squarefree")
+        if any(deg % (len(p.cv) - 1) for p, _ in fac.factors):
+            bad.append(f"{f}: factor degree does not divide {deg}")
         if fac.distinct_count < min_factors:
-            raise VerificationError(
-                f"{f} has {fac.distinct_count} factors, expected >= {min_factors}"
-            )
-
-
-def units(spec: FieldSpec) -> list[FieldElement]:
-    """The nonzero constants of F_q."""
-    return list(spec.units())
+            bad.append(f"{f}: only {fac.distinct_count} distinct factors")
+    return bad

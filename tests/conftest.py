@@ -1,6 +1,6 @@
 import pytest
 
-from lehmer_ff import field_from_order, field_make, lehmer_set
+from lehmer_ff import field_from_order, field_make, lehmer_set_bruteforce
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +30,10 @@ def f9():
 
 @pytest.fixture(scope="session")
 def lehmer_sets():
-    """One sweep per field, shared by every test that inspects the hits."""
+    """One brute-force oracle sweep per field, shared by every test that
+    inspects the hits or checks the structured sweep against them."""
     bounds = {2: 12, 3: 8, 4: 7, 5: 7}
     return {
-        q: lehmer_set(field_from_order(q), bound)
+        q: lehmer_set_bruteforce(field_from_order(q), bound)
         for q, bound in bounds.items()
     }

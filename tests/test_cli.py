@@ -163,6 +163,26 @@ def test_verify_main_theorem_small(capsys):
     assert "q=3" in out
 
 
+def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
+    # 5 + 25 + ... + 5^12 monic polys: refused before any scanning
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "main-theorem", "--q", "5", "--max-degree", "12"
+    )
+    assert code == 3
+    assert out == "" and "oracle cap" in err
+
+
+def test_lehmer_beyond_oracle_reach(capsys):
+    code, out, _ = run_cli(
+        capsys, "lehmer", "--q", "2", "--max-degree", "40", "--format", "json"
+    )
+    assert code == 0
+    polys = [row["poly"] for row in json.loads(out)["rows"]]
+    assert polys == [
+        "x^2+x", "x^4+x", "x^6+x^2+x", "x^6+x^4+x+1", "x^6+x^5+x", "x^6+x^5+x^2+1",
+    ]
+
+
 def test_verify_bounds_reports_known_failures(capsys):
     # the totient lower bound genuinely fails at six small n; the suite
     # must say so and exit 1 rather than hide it

@@ -6,6 +6,7 @@ from lehmer_ff import (
     DivisionByZero,
     FieldMismatch,
     InvalidDegree,
+    InvalidInput,
     InvalidPrime,
     ParseError,
     field_inv,
@@ -137,6 +138,18 @@ def test_element_parse_rejects_garbage(f4):
 def test_elements_of_different_fields_do_not_mix(f4, f5):
     with pytest.raises(FieldMismatch):
         f4.element("t") + f5.element(2)
+
+
+def test_int_operands_in_extension_fields_are_encodings(f4):
+    one = f4.one
+    assert one + 3 == f4.element("t")  # 1 + (t + 1)
+    assert one * 2 == f4.element("t")
+    with pytest.raises(InvalidInput):
+        one + 7
+    with pytest.raises(InvalidInput):
+        one * 300
+    with pytest.raises(InvalidInput):
+        one + (-1)
 
 
 def test_coeffs_view(f9):

@@ -1,22 +1,36 @@
 """Totient formula vs. brute-force oracle, membership, and sweeps."""
 
+import importlib
+import time
+
 import pytest
 
 from lehmer_ff import (
     InvalidInput,
     OracleOverflow,
+    Partition,
     Poly,
+    VerificationError,
     enumerate_polys,
     factor,
+    field_from_order,
     field_make,
+    irreducible_count,
     is_lehmer,
     lehmer_set,
+    lehmer_set_bruteforce,
+    mersenne_divisibility,
     parse_poly,
+    partitions_of,
     totient,
     totient_bruteforce,
     totient_report,
 )
 from lehmer_ff.suites import expected_lehmer_monic, hit_structure_violations
+from lehmer_ff.totient import lehmer_shapes
+
+# the package re-exports the function ``totient`` under the module's name
+totient_module = importlib.import_module("lehmer_ff.totient")
 
 
 def P(spec, text):
@@ -149,7 +163,62 @@ def test_lehmer_set_matches_per_poly_filter(f3):
 
 
 def test_lehmer_set_workers_merge_deterministically(f3):
-    assert lehmer_set(f3, 6, workers=2) == lehmer_set(f3, 6)
+    # the sharded scan serves only the oracle now
+    assert lehmer_set_bruteforce(f3, 6, workers=2) == lehmer_set_bruteforce(f3, 6)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 12), (3, 8), (4, 7), (5, 7)])
+def test_lehmer_set_equals_bruteforce_oracle(q, max_deg, lehmer_sets):
+    assert lehmer_set(field_from_order(q), max_deg) == lehmer_sets[q]
+
+
+def test_lehmer_set_matches_classification_beyond_oracle_reach():
+    ranges = [(2, 40), (3, 24)] + [(q, 12) for q in (4, 5, 7, 8, 9)]
+    t0 = time.perf_counter()
+    for q, max_deg in ranges:
+        spec = field_from_order(q)
+        assert set(lehmer_set(spec, max_deg)) == expected_lehmer_monic(spec), q
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_lehmer_shapes_lose_no_partition(q):
+    # divisor-of-n pruning keeps every capped partition that passes
+    for n in range(2, 21):
+        full = {
+            parts
+            for parts in partitions_of(n)
+            if all(parts.count(d) <= irreducible_count(q, d) for d in set(parts))
+            and mersenne_divisibility(q, Partition(parts))
+        }
+        shapes = lehmer_shapes(q, n)
+        assert len(shapes) == len(set(shapes))
+        assert set(shapes) == full, (q, n)
+
+
+def test_lehmer_set_validates_arguments(f2):
+    for sweep in (lehmer_set, lehmer_set_bruteforce):
+        with pytest.raises(InvalidInput):
+            sweep(f2, 0)
+        with pytest.raises(InvalidInput):
+            sweep(f2, 4, workers=0)
+
+
+def test_lehmer_set_bruteforce_cap(f2, monkeypatch):
+    # 2 + 4 + ... + 2^6 = 126 monic polys fit a cap of 126; degree 7 does not
+    monkeypatch.setattr(totient_module, "ORACLE_CAP", 126)
+    assert lehmer_set_bruteforce(f2, 6) == lehmer_set(f2, 6)
+    with pytest.raises(OracleOverflow):
+        lehmer_set_bruteforce(f2, 7)
+
+
+def test_lehmer_set_guards_hit_structure(f2, monkeypatch):
+    # x(x^2+x+1) has a factor degree that does not divide 3
+    monkeypatch.setattr(
+        totient_module, "lehmer_shapes", lambda q, n: [(1, 2)] if n == 3 else []
+    )
+    with pytest.raises(VerificationError, match="does not divide 3"):
+        lehmer_set(f2, 3)
 
 
 def test_unit_membership_invariance(f2, f3, f4):
