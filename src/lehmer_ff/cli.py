@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ffield import FieldSpec, field_from_order, field_make
 from .fpoly import parse_poly
-from .intmath import euler_phi
+from .intmath import decimal_str, euler_phi
 from .lehmer_search import (
     Partition,
     candidate_degrees,
@@ -218,7 +218,7 @@ def _cmd_cyclotomic(args) -> int:
     }
     if args.eval_at is not None:
         payload["eval_at"] = args.eval_at
-        payload["value"] = str(cyclotomic_eval(args.n, args.eval_at))
+        payload["value"] = decimal_str(cyclotomic_eval(args.n, args.eval_at))
     if args.format == "json":
         print(dump_json(payload))
     elif args.format == "csv":

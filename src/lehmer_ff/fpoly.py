@@ -6,14 +6,19 @@ degree ``NEG_INF``).  Polynomials are totally ordered by their integer
 encoding sum(enc(c_i) * q^i); that single order is reused for the
 irreducible sieve, factor lists, and enumeration streams.
 
-Factoring is trial division against the sieve of monic irreducibles of
-degree <= deg/2, with linear factors peeled first by a root scan.  This
-is exact and deterministic at the desk scale this package targets
-(degrees ~20, q <= 2^16; sweeps use q <= 9).
+Factoring is distinct-degree factorization through x^(q^i) mod f and
+gcd, with Cantor-Zassenhaus equal-degree splitting (a trace map when
+q = 2^k), and irreducibility is Rabin's test.  Both cost a polynomial in
+deg f and log q, never touch the sieve, and are deterministic: the
+factorization is canonical and the splitting draws from a fixed seed.
+Trial division by a root scan and the sieve of monic irreducibles of
+degree <= deg/2 is kept as the oracle ``factor_bruteforce``; the sieve
+itself serves ``irreducibles`` and that oracle only.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -27,7 +32,7 @@ from .errors import (
     UndefinedGcd,
 )
 from .ffield import FieldElement, FieldSpec
-from .intmath import divisors, mobius
+from .intmath import divisors, factorize, mobius
 
 NEG_INF = float("-inf")
 
@@ -81,14 +86,17 @@ def _divmod_cv(spec: FieldSpec, num, den):
     dd = len(den) - 1
     if len(num) <= dd:
         return (), tuple(num)
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
-    lead_inv = inv(den[-1])
+    mul, sub = spec.mul, spec.sub
+    # factoring divides by monic polynomials; inverting 1 is not free in
+    # the fallback fields
+    lead_inv = 1 if den[-1] == 1 else spec.inv(den[-1])
     rem = list(num)
     quo = [0] * (len(num) - dd)
     for i in range(len(num) - 1 - dd, -1, -1):
         c = rem[i + dd]
         if c:
-            c = mul(c, lead_inv)
+            if lead_inv != 1:
+                c = mul(c, lead_inv)
             quo[i] = c
             for j in range(dd):
                 dj = den[j]
@@ -123,14 +131,17 @@ def _eval_cv(spec: FieldSpec, cv, x: int) -> int:
 
 def _powmod_cv(spec: FieldSpec, g, e: int, f):
     _, g = _divmod_cv(spec, g, f)
-    result = (1,)
+    result = None  # 1, kept apart so the first product is not computed
     while e:
         if e & 1:
-            result = _divmod_cv(spec, _mul_cv(spec, result, g), f)[1]
+            if result is None:
+                result = g
+            else:
+                result = _divmod_cv(spec, _mul_cv(spec, result, g), f)[1]
         e >>= 1
         if e:
             g = _divmod_cv(spec, _mul_cv(spec, g, g), f)[1]
-    return result
+    return (1,) if result is None else result
 
 
 def _encode_cv(spec: FieldSpec, cv) -> int:
@@ -348,22 +359,23 @@ def poly_powmod(g: Poly, e: int, f: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Trial division against all monic irreducibles of degree <= deg/2."""
+    """Rabin's test: for f of degree n, x^(q^n) = x mod f and
+    gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n."""
     deg = len(f.cv) - 1
     if deg < 1:
         raise InvalidInput("irreducibility is defined for degree >= 1")
+    if deg == 1:
+        return True
     spec = f.spec
-    cv = f.cv
-    for r in range(spec.q):
-        if deg == 1:
-            break
-        if _eval_cv(spec, cv, r) == 0:
+    cv = _monic_cv(spec, f.cv)
+    x = (0, 1)
+    maximal = {deg // r for r in factorize(deg)}
+    h = x
+    for i in range(1, deg + 1):
+        h = _powmod_cv(spec, h, spec.q, cv)
+        if i in maximal and _gcd_cv(spec, cv, _sub_cv(spec, h, x)) != (1,):
             return False
-    for d in range(2, deg // 2 + 1):
-        for pcv in _irreducible_cvs(spec, d):
-            if not _divmod_cv(spec, cv, pcv)[1]:
-                return False
-    return True
+    return h == x
 
 
 _IRR_CACHE: dict[tuple[int, int, int], tuple] = {}
@@ -423,19 +435,105 @@ def irreducible_count(q: int, d: int) -> int:
 
 def factor(f: Poly) -> Factorization:
     """Canonical factorization unit * prod(p_i^{r_i})."""
+    return _factorization(f, _factor_cv)
+
+
+def factor_bruteforce(f: Poly) -> Factorization:
+    """:func:`factor` by a root scan and trial division against the sieve.
+
+    Costs O(q) field evaluations plus about q^(deg/2) sieve products; the
+    independent oracle for :func:`factor`.
+    """
+    return _factorization(f, _factor_cv_bruteforce)
+
+
+def _factorization(f: Poly, factor_cv) -> Factorization:
     if f.is_zero():
         raise CannotFactorZero("cannot factor the zero polynomial")
     spec = f.spec
-    unit = FieldElement(spec, f.cv[-1])
-    parts = _factor_cv(spec, f.cv)
     return Factorization(
-        unit=unit,
-        factors=tuple((Poly._raw(spec, cv), m) for cv, m in parts),
+        unit=FieldElement(spec, f.cv[-1]),
+        factors=tuple((Poly._raw(spec, cv), m) for cv, m in factor_cv(spec, f.cv)),
     )
 
 
+_SPLIT_SEED = 20260810
+
+
 def _factor_cv(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
-    """Factor a nonzero cv into sorted (monic irreducible cv, multiplicity)."""
+    """Factor a nonzero cv into sorted (monic irreducible cv, multiplicity).
+
+    Distinct-degree factorization: with h = x^(q^i) mod f,
+    gcd(f, h - x) is the product of the distinct degree-i irreducible
+    factors of f once every factor of lower degree has been divided out
+    (x^(q^i) - x is squarefree), so no squarefree pass is needed.  Each
+    such product is split by :func:`_split_equal_degree` and every factor
+    is divided out with its full multiplicity.  h is reduced modulo the
+    shrunken f by the next ``_powmod_cv``, which reduces its base first.
+    """
+    work = _monic_cv(spec, cv)
+    x = (0, 1)
+    h = x
+    rng = None
+    out = []
+    i = 1
+    while len(work) - 1 >= 2 * i:
+        h = _powmod_cv(spec, h, spec.q, work)
+        g = _gcd_cv(spec, work, _sub_cv(spec, h, x))
+        if len(g) > 1:
+            if len(g) - 1 > i and rng is None:
+                rng = random.Random(_SPLIT_SEED)
+            work = _divmod_cv(spec, work, g)[0]
+            for p in _split_equal_degree(spec, g, i, rng):
+                m = 1
+                while True:
+                    quo, rem = _divmod_cv(spec, work, p)
+                    if rem:
+                        break
+                    work, m = quo, m + 1
+                out.append((p, m))
+        i += 1
+    if len(work) > 1:
+        out.append((work, 1))
+    out.sort(key=lambda fm: (len(fm[0]), _encode_cv(spec, fm[0])))
+    return out
+
+
+def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
+    """Cantor-Zassenhaus: the monic degree-d irreducible factors of a
+    monic squarefree g whose irreducible factors all have degree d.
+
+    A random a with deg a < deg g is mapped to a^((q^d - 1)/2) - 1 for odd
+    q, or to the trace a + a^2 + ... + a^(2^(kd - 1)) for q = 2^k; either
+    is 0 on roughly half the factors of g, so its gcd with g usually
+    splits g.
+    """
+    if len(g) - 1 == d:
+        return [g]
+    q = spec.q
+    n = len(g) - 1
+    while True:
+        a = tuple(_trim([rng.randrange(q) for _ in range(n)]))
+        if len(a) < 2:
+            continue  # a constant maps to a constant, which never splits g
+        if spec.p == 2:
+            t = s = a
+            for _ in range(spec.k * d - 1):
+                t = _divmod_cv(spec, _mul_cv(spec, t, t), g)[1]
+                s = _add_cv(spec, s, t)
+        else:
+            s = _sub_cv(spec, _powmod_cv(spec, a, (q**d - 1) // 2, g), (1,))
+        s = _gcd_cv(spec, g, s)
+        if 1 < len(s) < len(g):
+            break
+    return _split_equal_degree(spec, s, d, rng) + _split_equal_degree(
+        spec, _divmod_cv(spec, g, s)[0], d, rng
+    )
+
+
+def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
+    """:func:`_factor_cv` by a root scan, then trial division against the
+    sieve of monic irreducibles of degree <= deg/2."""
     q = spec.q
     add, mul, neg = spec.add, spec.mul, spec.neg
     work = list(_monic_cv(spec, cv))

@@ -165,3 +165,21 @@ def ord2(n: int) -> int:
     if n < 1:
         raise InvalidInput(f"ord2 undefined for {n}")
     return (n & -n).bit_length() - 1
+
+
+# digits per str() call: below 640, the lowest int-to-str limit the
+# interpreter accepts (sys.set_int_max_str_digits), so every chunk converts
+_DECIMAL_CHUNK = 500
+
+
+def decimal_str(n: int) -> str:
+    """Exact base-10 text of n, however many digits it has."""
+    if n < 0:
+        return "-" + decimal_str(-n)
+    base = 10**_DECIMAL_CHUNK
+    chunks = []
+    while n >= base:
+        n, r = divmod(n, base)
+        chunks.append(f"{r:0{_DECIMAL_CHUNK}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))

@@ -144,17 +144,15 @@ def suite_main_theorem(
     for order in orders:
         spec = field_from_order(order)
         bound = max_degree or DEFAULT_SWEEP_DEGREE.get(order, FALLBACK_SWEEP_DEGREE)
-        found = set(lehmer_set_bruteforce(spec, bound, workers=workers))
+        hits = lehmer_set_bruteforce(spec, bound, workers=workers)
         expected = expected_lehmer_monic(spec)
         report.add_diff(
             f"q={order} monic sweep to degree {bound}",
             {str(f) for f in sorted(expected, key=Poly.sort_key)},
-            {str(f) for f in sorted(found, key=Poly.sort_key)},
+            {str(f) for f in hits},
         )
         if order == 3:
-            expanded = lehmer_set_bruteforce(
-                spec, bound, expand_units=True, workers=workers
-            )
+            expanded = [f * u for f in hits for u in spec.units()]
             report.add(
                 f"q={order} unit expansion yields {2 * len(expected)} polynomials",
                 len(expanded) == 2 * len(expected),

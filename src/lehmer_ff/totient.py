@@ -12,10 +12,11 @@ coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
 whose totient divides q^deg(f) - 1.  It tests factor-degree shapes with
 the partition condition prod(q^{e_i} - 1) | q^n - 1 of
 ``lehmer_search.mersenne_divisibility`` and multiplies out the passing
-ones; ``lehmer_set_bruteforce`` factors every monic f instead and is its
-independent oracle.  Both check known structural facts about the hits
-(squarefreeness, factor-degree divisibility, a lower bound on the number
-of distinct factors) on the result as a guard.
+ones; ``lehmer_set_bruteforce`` factors every monic f by trial division
+(``fpoly.factor_bruteforce``) instead and is its independent oracle.
+Both check known structural facts about the hits (squarefreeness,
+factor-degree divisibility, a lower bound on the number of distinct
+factors) on the result as a guard.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ from .fpoly import (
     _code_span,
     _decode_cv,
     _factor_cv,
+    _factor_cv_bruteforce,
     _gcd_cv,
     factor,
+    factor_bruteforce,
     irreducible_count,
     irreducibles,
 )
-from .intmath import divisors
+from .intmath import decimal_str, divisors
 from .lehmer_search import Partition, mersenne_divisibility
 
-ORACLE_CAP = 1 << 24
+ORACLE_CAP = 1 << 20
 
 
 def totient(f: Poly) -> int:
@@ -96,8 +99,8 @@ class TotientReport:
             "q": self.f.spec.q,
             "degree": len(self.f.cv) - 1,
             "poly": str(self.f),
-            "phi": str(self.phi),
-            "modulus_value": str(self.modulus_value),
+            "phi": decimal_str(self.phi),
+            "modulus_value": decimal_str(self.modulus_value),
             "divides": self.divides,
             "reducible": self.reducible,
             "factors": [[str(p), m] for p, m in self.factorization.factors],
@@ -201,7 +204,7 @@ def lehmer_set_bruteforce(
     expand_units: bool = False,
     workers: int = 1,
 ) -> list[Poly]:
-    """:func:`lehmer_set` by factoring every monic polynomial in range.
+    """:func:`lehmer_set` by trial-dividing every monic polynomial in range.
 
     Exponential by design; the independent oracle for :func:`lehmer_set`.
     Each degree's encoding range is split into ``workers`` contiguous
@@ -267,7 +270,7 @@ def _sweep_block(p: int, k: int, n: int, lo: int, hi: int) -> list[int]:
     mod_value = q**n - 1
     hits = []
     for code in range(lo, hi):
-        parts = _factor_cv(spec, _decode_cv(q, code))
+        parts = _factor_cv_bruteforce(spec, _decode_cv(q, code))
         if len(parts) == 1 and parts[0][1] == 1:
             continue  # irreducible
         if mod_value % _phi_from_parts(q, parts) == 0:
@@ -277,11 +280,15 @@ def _sweep_block(p: int, k: int, n: int, lo: int, hi: int) -> list[int]:
 
 def hit_structure_violations(spec: FieldSpec, hits: list[Poly]) -> list[str]:
     """Squarefreeness, factor-degree divisibility, and the distinct-factor
-    lower bound floor(log2(q+1)), checked on a finished sweep."""
+    lower bound floor(log2(q+1)), checked on a finished sweep.
+
+    The hits are factored with the trial-division oracle: hits exist only
+    over F_2 and F_3, where it is the cheaper exact method.
+    """
     min_factors = (spec.q + 1).bit_length() - 1
     bad = []
     for f in hits:
-        fac = factor(f)
+        fac = factor_bruteforce(f)
         deg = len(f.cv) - 1
         if not fac.is_squarefree():
             bad.append(f"{f}: not squarefree")

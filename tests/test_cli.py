@@ -89,6 +89,29 @@ def test_cyclotomic_text_and_eval(capsys):
     assert payload["value"] == "3" and payload["degree"] == 2
 
 
+def test_cyclotomic_eval_past_int_str_limit(capsys):
+    from lehmer_ff import cyclotomic_eval
+
+    code, out, err = run_cli(capsys, "cyclotomic", "--n", "1009", "--eval", "1000000")
+    assert code == 0 and err == ""
+    text = out.rstrip("\n").rsplit("value at 1000000: ", 1)[1]
+    value = cyclotomic_eval(1009, 10**6)
+    digits = len(text)
+    assert 10 ** (digits - 1) <= value < 10**digits
+    assert digits > 4300
+    assert int(text[-18:]) == value % 10**18
+
+
+def test_totient_over_f65536(capsys):
+    code, out, _ = run_cli(
+        capsys, "totient", "x^3+x+1", "--q", "65536", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["phi"] == str(65536**3 - 1)
+    assert payload["factors"] == [["x^3+x+1", 1]]
+
+
 def test_zsigmondy_exception_reported(capsys):
     code, out, _ = run_cli(capsys, "zsigmondy", "--a", "2", "--b", "1", "--n", "6")
     assert code == 0
@@ -164,12 +187,15 @@ def test_verify_main_theorem_small(capsys):
 
 
 def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
-    # 5 + 25 + ... + 5^12 monic polys: refused before any scanning
-    code, out, err = run_cli(
-        capsys, "verify", "--suite", "main-theorem", "--q", "5", "--max-degree", "12"
-    )
-    assert code == 3
-    assert out == "" and "oracle cap" in err
+    # 5 + 25 + ... + 5^d monic polys: 2,441,405 at d = 9, refused before
+    # any scanning
+    for degree in ("12", "9"):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "main-theorem", "--q", "5",
+            "--max-degree", degree,
+        )
+        assert code == 3
+        assert out == "" and "oracle cap" in err
 
 
 def test_lehmer_beyond_oracle_reach(capsys):

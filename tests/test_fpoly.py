@@ -1,6 +1,7 @@
 """Polynomial arithmetic, factorization, sieve, and enumeration streams."""
 
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,8 @@ from lehmer_ff import (
     UndefinedGcd,
     enumerate_polys,
     factor,
+    factor_bruteforce,
+    field_from_order,
     field_make,
     irreducible_count,
     irreducibles,
@@ -22,6 +25,7 @@ from lehmer_ff import (
     parse_poly,
     poly_gcd,
     poly_powmod,
+    totient,
 )
 
 RNG_SEED = 20260810
@@ -193,6 +197,89 @@ def test_factor_roundtrip_exhaustive(q, f2, f3, f4):
             keys = [(len(p.cv), p.encoding()) for p, _ in fac.factors]
             assert keys == sorted(keys)
             assert len(set(p for p, _ in fac.factors)) == len(fac.factors)
+
+
+# every monic polynomial of these degrees: 25,454 in all
+ORACLE_FACTOR_RANGES = ((2, 10), (3, 7), (4, 5), (5, 5), (7, 4), (8, 4), (9, 4))
+
+
+def test_factor_equals_trial_division_oracle_exhaustive():
+    for q, max_deg in ORACLE_FACTOR_RANGES:
+        spec = field_from_order(q)
+        units = list(spec.units())
+        for n in range(1, max_deg + 1):
+            for i, f in enumerate(enumerate_polys(spec, n, monic_only=True)):
+                assert factor(f) == factor_bruteforce(f), (q, str(f))
+                if q in (3, 4):
+                    g = f * units[i % len(units)]
+                    assert factor(g) == factor_bruteforce(g), (q, str(g))
+
+
+def test_is_irreducible_equals_sieve_membership():
+    """Rabin's test against the sieve for q <= 9 and n <= 6.
+
+    Where the degree-n sieve is cheap (q^n <= 4096) every monic f is
+    checked against membership in it.  Beyond that a seeded sample is
+    checked against trial division, whose sieve stops at degree n/2.
+    """
+    rng = random.Random(RNG_SEED)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = field_from_order(q)
+        for n in range(1, 7):
+            if q**n <= 4096:
+                irr = set(irreducibles(spec, n))
+                for f in enumerate_polys(spec, n, monic_only=True):
+                    assert is_irreducible(f) == (f in irr), (q, str(f))
+            else:
+                for _ in range(100):
+                    f = Poly(spec, [rng.randrange(q) for _ in range(n)] + [1])
+                    (_, m), *rest = factor_bruteforce(f).factors
+                    assert is_irreducible(f) == (m == 1 and not rest), (q, str(f))
+
+
+def _random_irreducible(rng, spec, d):
+    while True:
+        f = Poly(spec, [rng.randrange(spec.q) for _ in range(d)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("q", [65521, 65536])
+def test_factor_large_fields_in_bounded_time(q):
+    spec = field_from_order(q)
+    rng = random.Random(RNG_SEED + q)
+    start = time.perf_counter()
+    g, h = _random_irreducible(rng, spec, 2), _random_irreducible(rng, spec, 3)
+    lin = Poly(spec, [rng.randrange(q), 1])
+    known = {  # f -> phi from its known factorization
+        g * g * h: (q**2 - 1) * q**2 * (q**3 - 1),
+        lin * lin * lin * g: (q - 1) * q**2 * (q**2 - 1),
+    }
+    f = Poly(spec, [rng.randrange(q) for _ in range(8)] + [rng.randrange(1, q)])
+    for poly in (*known, f):
+        fac = factor(poly)
+        assert fac.expand() == poly
+        assert all(is_irreducible(p) and p.is_monic() for p, _ in fac.factors)
+        phi = 1
+        for p, m in fac.factors:
+            d = len(p.cv) - 1
+            phi *= (q**d - 1) * q ** (d * (m - 1))
+        assert totient(poly) == known.get(poly, phi)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_factor_is_repeatable():
+    for q in (3, 16, 27, 65521):
+        spec = field_from_order(q)
+        rng = random.Random(RNG_SEED + q)
+        # several factors of one degree, so equal-degree splitting runs
+        f = Poly.one(spec)
+        for d in (1, 1, 1, 2, 2):
+            f = f * Poly(spec, [rng.randrange(q) for _ in range(d)] + [1])
+        first = factor(f)
+        factor(f * f)
+        assert factor(f) == first
+        assert first.expand() == f
 
 
 # -- enumeration --------------------------------------------------------------

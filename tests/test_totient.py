@@ -26,6 +26,7 @@ from lehmer_ff import (
     totient_bruteforce,
     totient_report,
 )
+from lehmer_ff import suites as suites_module
 from lehmer_ff.suites import expected_lehmer_monic, hit_structure_violations
 from lehmer_ff.totient import lehmer_shapes
 
@@ -115,6 +116,35 @@ def test_report_fields(f2):
     assert rec["q"] == 2 and rec["degree"] == 4
     assert rec["phi"] == "3" and rec["modulus_value"] == "15"
     assert rec["factors"] == [["x", 1], ["x+1", 1], ["x^2+x+1", 1]]
+
+
+def test_report_record_prints_values_past_int_str_limit():
+    f16 = field_from_order(65536)
+    f = P(f16, "x")
+    modulus = 65536**1000 - 1  # 4,817 digits
+    report = totient_module.TotientReport(
+        f, modulus, modulus, True, False, factor(f)
+    )
+    rec = report.as_record()
+    assert rec["phi"] == rec["modulus_value"]
+    assert len(rec["phi"]) == 4817 and rec["phi"][0] != "0"
+    assert int(rec["phi"][-18:]) == modulus % 10**18
+
+
+def test_main_theorem_scans_each_field_once(monkeypatch):
+    calls = []
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.q)
+        return lehmer_set_bruteforce(spec, *args, **kwargs)
+
+    monkeypatch.setattr(suites_module, "lehmer_set_bruteforce", counted)
+    report = suites_module.suite_main_theorem(max_degree=4)
+    assert calls == [2, 3, 4, 5]
+    unit_check = [c for c in report.checks if "unit expansion" in c.label]
+    assert [(c.label, c.ok) for c in unit_check] == [
+        ("q=3 unit expansion yields 6 polynomials", True)
+    ]
 
 
 def test_report_divides_iff_modulus_multiple(f3):
