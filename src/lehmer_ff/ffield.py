@@ -2,10 +2,10 @@
 
 Elements are stored as integer encodings in [0, q): the coefficient
 vector (c_0, ..., c_{k-1}) of an element of F_p[t]/(modulus) encodes to
-sum(c_i * p^i).  For k = 1 the encoding is the residue itself.  Fields
-up to q <= 256 carry full operation tables, which is what every sweep in
-this package uses; larger fields (up to the 2^16 cap) fall back to
-arithmetic on coefficient vectors.
+sum(c_i * p^i).  For k = 1 the encoding is the residue itself and the
+field computes on residues mod p.  Every extension field, up to the 2^16
+cap, computes through exp/log tables of one generator and, for odd p,
+Zech's logarithms; see :class:`FieldSpec`.
 
 The modulus for k > 1 is canonical: the monic irreducible of degree k
 over F_p whose integer encoding is smallest, so two runs (or machines)
@@ -14,6 +14,7 @@ always build the identical field.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -25,10 +26,12 @@ from .errors import (
     InvalidPrime,
     ParseError,
 )
-from .intmath import is_prime
+from .intmath import factorize, is_prime
 
 MAX_Q = 1 << 16
-_TABLE_MAX_Q = 256
+# fields kept interned; an extension field near 2^16 holds about 9 MB of
+# tables, and an evicted field is rebuilt equal on its next use
+_FIELD_CACHE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,39 @@ def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     raise InvalidDegree(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
+def _fp_powmod(base: list[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _fp_rem(_fp_mul(result, base, p), modulus, p)
+        base = _fp_rem(_fp_mul(base, base, p), modulus, p)
+        e >>= 1
+    return result
+
+
+def _generator(p: int, k: int, modulus: Sequence[int]) -> list[int]:
+    """Smallest-encoding element of order q - 1 of F_p[t]/(modulus)."""
+    q = p**k
+    cofactors = [(q - 1) // r for r in factorize(q - 1)]
+    for code in range(2, q):
+        g = _fp_trim(_decode_base(code, p, k))
+        if all(_fp_powmod(g, c, modulus, p) != [1] for c in cofactors):
+            return g
+    raise InvalidDegree(f"F_{q} has no generator")  # pragma: no cover
+
+
+def _powers(g: list[int], modulus: Sequence[int], p: int, n: int) -> list[int]:
+    """Encodings of g^0, ..., g^(n-1)."""
+    out, cur = [], [1]
+    for _ in range(n):
+        enc = 0
+        for c in reversed(cur):
+            enc = enc * p + c
+        out.append(enc)
+        cur = _fp_rem(_fp_mul(cur, g, p), modulus, p)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -103,12 +139,16 @@ class FieldSpec:
 
     The value-level callables (``add``, ``sub``, ``mul``, ``neg``,
     ``inv``) act on integer encodings and are the workhorses of every
-    polynomial routine.  Instances are interned by :func:`field_make`,
-    are safe to share between threads/processes, and pickle by (p, k).
+    polynomial routine.  A prime field computes on residues mod p.  An
+    extension field holds ``exp`` and ``log`` tables of size O(q) for its
+    generator (the smallest-encoding element of order q - 1): products,
+    inverses and negatives are lookups, sums are ``xor`` when p = 2 and go
+    through Zech's logarithm Z(n) = log(1 + g^n) for odd p.  Instances
+    are interned by :func:`field_make`, are safe to share between
+    threads/processes, and pickle by (p, k).
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv",
-                 "mul_table", "add_table", "sub_table")
+    __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, p: int, k: int):
         q = p**k
@@ -116,101 +156,59 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = _canonical_modulus(p, k) if k > 1 else None
-        if q <= _TABLE_MAX_Q:
-            self._build_tables()
-        else:
-            self._build_fallback()
+        if k > 1:
+            self._log_ops()
+            return
+        self.add = lambda a, b, _p=p: (a + b) % _p
+        self.sub = lambda a, b, _p=p: (a - b) % _p
+        self.mul = lambda a, b, _p=p: a * b % _p
+        self.neg = lambda a, _p=p: -a % _p
 
-    # -- construction ------------------------------------------------------
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        av = _decode_base(a, p, k)
-        bv = _decode_base(b, p, k)
-        prod = _fp_mul(av, bv, p)
-        if len(prod) >= k:
-            prod = _fp_rem(prod, list(self.modulus), p)
-        enc = 0
-        for c in reversed(prod):
-            enc = enc * p + c
-        return enc
-
-    def _raw_add(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        if k == 1:
-            return (a + b) % p
-        enc = 0
-        mult = 1
-        for _ in range(k):
-            enc += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return enc
-
-    def _raw_neg(self, a: int) -> int:
-        p, k = self.p, self.k
-        if k == 1:
-            return -a % p
-        enc = 0
-        mult = 1
-        for _ in range(k):
-            enc += -a % p % p * mult
-            a //= p
-            mult *= p
-        return enc
-
-    def _build_tables(self) -> None:
-        q = self.q
-        add_t = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-        mul_t = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        neg_row = [self._raw_neg(a) for a in range(q)]
-        sub_t = [[add_t[a][neg_row[b]] for b in range(q)] for a in range(q)]
-        inv_row = [0] * q
-        for a in range(1, q):
-            inv_row[mul_t[a].index(1)] = a
-        self.mul_table = mul_t
-        self.add_table = add_t
-        self.sub_table = sub_t
-        self.add = lambda a, b, _t=add_t: _t[a][b]
-        self.sub = lambda a, b, _t=sub_t: _t[a][b]
-        self.mul = lambda a, b, _t=mul_t: _t[a][b]
-        self.neg = lambda a, _t=neg_row: _t[a]
-        self.inv = self._make_inv(inv_row)
-
-    def _make_inv(self, inv_row: list[int]):
         def inv(a: int) -> int:
             if a == 0:
-                raise DivisionByZero(f"inverse of 0 in F_{self.q}")
-            return inv_row[a]
+                raise DivisionByZero(f"inverse of 0 in F_{p}")
+            return pow(a, -1, p)
 
-        return inv
+        self.inv = inv
 
-    def _build_fallback(self) -> None:
-        self.mul_table = None
-        self.add_table = None
-        self.sub_table = None
-        self.add = self._raw_add
-        self.mul = self._raw_mul
-        self.neg = self._raw_neg
-        self.sub = lambda a, b: self._raw_add(a, self._raw_neg(b))
-        self.inv = self._fallback_inv
+    def _log_ops(self) -> None:
+        p, q = self.p, self.q
+        n = q - 1
+        cycle = _powers(_generator(p, self.k, self.modulus), self.modulus, p, n)
+        # log(0) is a sentinel past every sum of two logarithms, and exp is
+        # zero from 2n on, so products and negatives with 0 need no branch
+        log = [2 * n] * q
+        for i, e in enumerate(cycle):
+            log[e] = i
+        exp = cycle + cycle + [0] * (2 * n + 1)
+        self.mul = lambda a, b, _e=exp, _l=log: _e[_l[a] + _l[b]]
 
-    def _fallback_inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.q}")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        # a^(q-2) = a^(-1) in the multiplicative group
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        def inv(a: int) -> int:
+            if a == 0:
+                raise DivisionByZero(f"inverse of 0 in F_{q}")
+            return exp[n - log[a]]
+
+        self.inv = inv
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = lambda a: a
+            return
+        half = n // 2  # -1 = g^half
+        self.neg = neg = lambda a: exp[log[a] + half]
+        # Zech's logarithm log(1 + g^i): 1 + x adds 1 to the constant
+        # digit, and 1 + g^i = 0 maps to the sentinel log(0)
+        zech = [log[e - e % p + (e + 1) % p] for e in cycle]
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]  # a negative index wraps mod n
+
+        self.add = add
+        self.sub = lambda a, b: add(a, neg(b))
 
     # -- identity / pickling ------------------------------------------------
 
@@ -381,7 +379,7 @@ def field_make(p: int, k: int = 1) -> FieldSpec:
     return _field_make_cached(p, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _field_make_cached(p: int, k: int) -> FieldSpec:
     return FieldSpec(p, k)
 

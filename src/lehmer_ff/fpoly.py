@@ -8,9 +8,11 @@ irreducible sieve, factor lists, and enumeration streams.
 
 Factoring is distinct-degree factorization through x^(q^i) mod f and
 gcd, with Cantor-Zassenhaus equal-degree splitting (a trace map when
-q = 2^k), and irreducibility is Rabin's test.  Both cost a polynomial in
-deg f and log q, never touch the sieve, and are deterministic: the
-factorization is canonical and the splitting draws from a fixed seed.
+q = 2^k).  Irreducibility is the distinct-degree loop alone, stopped at
+the first gcd that exposes a factor of degree <= deg/2.  Both cost a
+polynomial in deg f and log q, never touch the sieve, and are
+deterministic: the factorization is canonical and the splitting draws
+from a fixed seed.
 Trial division by a root scan and the sieve of monic irreducibles of
 degree <= deg/2 is kept as the oracle ``factor_bruteforce``; the sieve
 itself serves ``irreducibles`` and that oracle only.
@@ -32,7 +34,7 @@ from .errors import (
     UndefinedGcd,
 )
 from .ffield import FieldElement, FieldSpec
-from .intmath import divisors, factorize, mobius
+from .intmath import divisors, mobius
 
 NEG_INF = float("-inf")
 
@@ -87,8 +89,7 @@ def _divmod_cv(spec: FieldSpec, num, den):
     if len(num) <= dd:
         return (), tuple(num)
     mul, sub = spec.mul, spec.sub
-    # factoring divides by monic polynomials; inverting 1 is not free in
-    # the fallback fields
+    # factoring divides by monic polynomials, which need no scaling
     lead_inv = 1 if den[-1] == 1 else spec.inv(den[-1])
     rem = list(num)
     quo = [0] * (len(num) - dd)
@@ -359,23 +360,21 @@ def poly_powmod(g: Poly, e: int, f: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: for f of degree n, x^(q^n) = x mod f and
-    gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n."""
+    """Distinct-degree test: f of degree n is reducible exactly when it
+    has an irreducible factor of degree i <= n/2, that is when
+    gcd(x^(q^i) - x, f) != 1 for some such i."""
     deg = len(f.cv) - 1
     if deg < 1:
         raise InvalidInput("irreducibility is defined for degree >= 1")
-    if deg == 1:
-        return True
     spec = f.spec
     cv = _monic_cv(spec, f.cv)
     x = (0, 1)
-    maximal = {deg // r for r in factorize(deg)}
     h = x
-    for i in range(1, deg + 1):
+    for _ in range(deg // 2):
         h = _powmod_cv(spec, h, spec.q, cv)
-        if i in maximal and _gcd_cv(spec, cv, _sub_cv(spec, h, x)) != (1,):
+        if _gcd_cv(spec, cv, _sub_cv(spec, h, x)) != (1,):
             return False
-    return h == x
+    return True
 
 
 _IRR_CACHE: dict[tuple[int, int, int], tuple] = {}

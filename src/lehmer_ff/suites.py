@@ -20,7 +20,6 @@ from .lehmer_search import (
     Partition,
     abundancy,
     c_factor,
-    candidate_degrees,
     classify_a_ge_3,
     exponent_map,
     mersenne_divisibility,
@@ -46,10 +45,9 @@ SUITE_NAMES = (
 )
 
 # the coarse candidate-degree list as stated; the coarse inequality also
-# admits COARSE_EXTRA (margins ~1.202 at 28 and ~0.427 at 36, the same at
-# 35 and 60 digits), both of which the refined filter rejects
+# admits 28 and 36 (margins ~1.202 and ~0.427, the same at 35 and 60
+# digits), both of which the refined filter rejects
 COARSE_DEGREES = set(range(7, 23)) | {24, 26, 30, 34, 38, 42, 46, 50, 54}
-COARSE_EXTRA = frozenset({28, 36})
 # classification answers the sweeps must reproduce
 REFINED_DEGREES = {8, 9, 10, 12, 14, 18, 20, 24, 30}
 PROP31_SOLUTIONS = {(3, (1, 1)), (3, (1, 1, 1, 1))}
@@ -184,22 +182,6 @@ def suite_prop36(n_max: int = 30) -> SuiteReport:
     expected = {(n, parts) for n, parts in PROP36_SOLUTIONS if n <= n_max}
     report.add_diff(
         f"capped-multiplicity classification for base 2, n <= {n_max}", expected, found
-    )
-    return report
-
-
-def suite_candidates(n_max: int = 200) -> SuiteReport:
-    report = SuiteReport("candidates")
-    coarse, refined = candidate_degrees(n_max)
-    report.add_diff(
-        f"coarse candidate degrees up to {n_max}",
-        {n for n in COARSE_DEGREES | COARSE_EXTRA if n <= n_max},
-        coarse,
-    )
-    report.add_diff(
-        f"refined candidate degrees up to {n_max}",
-        {n for n in REFINED_DEGREES if n <= n_max},
-        refined,
     )
     return report
 

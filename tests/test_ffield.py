@@ -1,5 +1,8 @@
 """Field construction, arithmetic axioms, and the element text form."""
 
+import random
+import time
+
 import pytest
 
 from lehmer_ff import (
@@ -12,7 +15,15 @@ from lehmer_ff import (
     field_inv,
     field_make,
 )
-from lehmer_ff.ffield import _element_parse, _element_str, field_from_order
+from lehmer_ff.ffield import (
+    _decode_base,
+    _element_parse,
+    _element_str,
+    _fp_mul,
+    _fp_rem,
+    field_from_order,
+)
+from lehmer_ff.intmath import is_prime
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -61,6 +72,22 @@ def test_field_make_deterministic():
     assert a.modulus == b.modulus
     assert a == b
     assert field_make(3) is field_make(3, 1)  # default k interns identically
+
+
+def test_field_cache_is_bounded():
+    from lehmer_ff.ffield import _FIELD_CACHE_SIZE, _field_make_cached
+
+    first = field_make(2, 3)
+    others = [p for p in range(3, 1000) if is_prime(p)][: _FIELD_CACHE_SIZE + 1]
+    for p in others:
+        field_make(p)
+        assert _field_make_cached.cache_info().currsize <= _FIELD_CACHE_SIZE
+    rebuilt = field_make(2, 3)
+    assert rebuilt is not first  # F_8 was the least recently used entry
+    assert rebuilt == first and rebuilt.modulus == first.modulus
+    for a in range(8):
+        for b in range(8):
+            assert rebuilt.mul(a, b) == first.mul(a, b)
 
 
 def test_field_from_order():
@@ -163,3 +190,59 @@ def test_spec_pickles_by_parameters(f4):
 
     clone = pickle.loads(pickle.dumps(f4))
     assert clone is field_make(2, 2)
+
+
+# every pair of each small field; 2,000 seeded pairs (plus the pairs with 0
+# and q - 1) of each large one, prime fields included
+REFERENCE_EXHAUSTIVE = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 6)]
+REFERENCE_SAMPLED = [(3, 5), (2, 8), (2, 12), (3, 10), (251, 2), (65521, 1), (2, 16)]
+
+
+def _reference_ops(spec):
+    """Digit-vector arithmetic modulo ``spec.modulus``; a prime field is
+    F_p[t]/(t)."""
+    p, k = spec.p, spec.k
+    modulus = list(spec.modulus or (0, 1))
+
+    def encode(v):
+        return sum(c * p**i for i, c in enumerate(v))
+
+    def add(a, b):
+        pairs = zip(_decode_base(a, p, k), _decode_base(b, p, k))
+        return encode([(x + y) % p for x, y in pairs])
+
+    def neg(a):
+        return encode([-x % p for x in _decode_base(a, p, k)])
+
+    def mul(a, b):
+        prod = _fp_mul(_decode_base(a, p, k), _decode_base(b, p, k), p)
+        return encode(_fp_rem(prod, modulus, p))
+
+    return add, neg, mul
+
+
+@pytest.mark.parametrize("p,k", REFERENCE_EXHAUSTIVE + REFERENCE_SAMPLED)
+def test_ops_match_digit_vector_reference(p, k):
+    """The axioms hold in any encoding; this pins the canonical one."""
+    from lehmer_ff.ffield import _field_make_cached
+
+    _field_make_cached.cache_clear()  # so the build is timed every run
+    start = time.perf_counter()
+    spec = field_make(p, k)
+    if (p, k) in ((3, 10), (2, 16)):
+        assert time.perf_counter() - start < 2.0
+    q = spec.q
+    if (p, k) in REFERENCE_EXHAUSTIVE:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        pairs += [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1), (1, q - 1)]
+    add, neg, mul = _reference_ops(spec)
+    for a, b in pairs:
+        assert spec.add(a, b) == add(a, b)
+        assert spec.sub(a, b) == add(a, neg(b))
+        assert spec.mul(a, b) == mul(a, b)
+        assert spec.neg(a) == neg(a)
+        if a:
+            assert mul(a, spec.inv(a)) == 1

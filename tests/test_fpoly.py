@@ -216,7 +216,7 @@ def test_factor_equals_trial_division_oracle_exhaustive():
 
 
 def test_is_irreducible_equals_sieve_membership():
-    """Rabin's test against the sieve for q <= 9 and n <= 6.
+    """`is_irreducible` against the sieve for q <= 9 and n <= 6.
 
     Where the degree-n sieve is cheap (q^n <= 4096) every monic f is
     checked against membership in it.  Beyond that a seeded sample is
