@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .cyclo import DEFAULT_FACTORING_BUDGET, cyclotomic, cyclotomic_eval, zsigmondy
 from .errors import (
@@ -32,6 +31,7 @@ from .lehmer_search import (
     Partition,
     candidate_degrees,
     exponent_map,
+    lehmer_partitions,
     mersenne_divisibility,
     partitions_of,
 )
@@ -44,13 +44,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    format: str = "text"
-    workers: int = 1
 
 
 def _default_workers() -> int:
@@ -261,16 +254,19 @@ def _cmd_zsigmondy(args) -> int:
 def _cmd_partitions(args) -> int:
     records = []
     for n in range(2, args.n_max + 1):
-        for parts in partitions_of(n):
-            part = Partition(parts)
-            divides = mersenne_divisibility(args.a, part)
-            if not divides and not args.all:
-                continue
+        if args.all:
+            rows = [
+                (part, mersenne_divisibility(args.a, part))
+                for part in map(Partition, partitions_of(n))
+            ]
+        else:
+            rows = [(part, True) for part in lehmer_partitions(args.a, n)]
+        for part, divides in rows:
             records.append(
                 {
                     "a": args.a,
                     "n": n,
-                    "parts": list(parts),
+                    "parts": list(part.parts),
                     "divides": divides,
                     "exponent_map": exponent_map(n, part).as_record(),
                 }

@@ -388,6 +388,8 @@ def field_from_order(q: int) -> FieldSpec:
     """Build F_q for a prime power q (convenience for CLI input)."""
     if not isinstance(q, int) or q < 2:
         raise InvalidPrime(f"{q} is not a prime power")
+    if q > MAX_Q:
+        raise InvalidDegree(f"q = {q} exceeds the supported cap {MAX_Q}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

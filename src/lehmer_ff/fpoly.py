@@ -38,8 +38,6 @@ from .intmath import divisors, mobius
 
 NEG_INF = float("-inf")
 
-CV = tuple  # coefficient-value tuple alias used in signatures below
-
 
 # ---------------------------------------------------------------------------
 # value-level helpers (int-encoded coefficient tuples/lists)

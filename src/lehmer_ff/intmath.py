@@ -20,7 +20,6 @@ _SMALL_PRIMES = (
 
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:

@@ -2,9 +2,10 @@
 
 A partition here is a multiset of positive degrees e_1 <= ... <= e_s
 (s >= 2) summing to n; it abstracts the shape of a squarefree
-factorization.  ``mersenne_divisibility`` is the arbitrary-precision
-brute-force oracle; the classification searches enumerate partitions
-exhaustively and filter with it.
+factorization.  ``mersenne_divisibility`` is the exact test and
+``lehmer_partitions`` the one search for passing partitions, which the
+F_q[x] sweep, the classifications and the ``partitions`` command all run;
+``partitions_of`` lists every partition and is its oracle.
 
 ``exponent_map`` expresses (x^n - 1) / prod(x^{e_i} - 1) as a product of
 cyclotomic polynomials Phi_d with integer exponents
@@ -101,18 +102,39 @@ def mersenne_divisibility(a: int, part: Partition) -> bool:
     return (a ** part.n - 1) % prod == 0
 
 
+def lehmer_partitions(a: int, n: int, cap=None) -> list[Partition]:
+    """The partitions of n passing ``mersenne_divisibility(a, .)``, in
+    ``partitions_of`` order.  As gcd(a^e - 1, a^n - 1) = a^gcd(e,n) - 1,
+    their parts are proper divisors of n, and only those are tried;
+    ``cap(d)``, if given, bounds how often the part d may occur."""
+    divs = [d for d in divisors(n) if d < n]
+    caps = [n // d if cap is None else cap(d) for d in divs]
+    candidates = map(Partition, _capped_partitions(n, divs, caps))
+    return [part for part in candidates if mersenne_divisibility(a, part)]
+
+
+def _capped_partitions(n: int, divs: list[int], caps: list[int]):
+    """Nondecreasing tuples summing to n, divs[i] (ascending) used at most
+    caps[i] times, in colex order: by largest part, then its multiplicity."""
+    if n == 0:
+        yield ()
+        return
+    for i, d in enumerate(divs):
+        for u in range(1, min(caps[i], n // d) + 1):
+            for rest in _capped_partitions(n - u * d, divs[:i], caps[:i]):
+                yield rest + (d,) * u
+
+
 def classify_a_ge_3(a_max: int, n_max: int) -> list[tuple[int, Partition]]:
-    """Exhaustive sweep over a in [3, a_max] and all partitions of n <= n_max."""
+    """Every passing partition for a in [3, a_max] and n <= n_max."""
     if a_max < 3 or n_max < 2:
         raise InvalidInput("need a_max >= 3 and n_max >= 2")
-    out = []
-    for a in range(3, a_max + 1):
-        for n in range(2, n_max + 1):
-            for parts in partitions_of(n):
-                part = Partition(parts)
-                if mersenne_divisibility(a, part):
-                    out.append((a, part))
-    return out
+    return [
+        (a, part)
+        for a in range(3, a_max + 1)
+        for n in range(2, n_max + 1)
+        for part in lehmer_partitions(a, n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -246,17 +268,16 @@ def prop36_partition_allowed(part: Partition) -> bool:
 
 
 def verify_prop36(n_max: int) -> list[tuple[int, Partition]]:
-    """Partitions (base a = 2) passing the multiplicity caps and the
-    divisibility oracle, for every n <= n_max."""
+    """Partitions (base a = 2) passing the divisibility test and the
+    multiplicity caps, for every n <= n_max."""
     if n_max < 2:
         raise InvalidInput("need n_max >= 2")
-    out = []
-    for n in range(2, n_max + 1):
-        for parts in partitions_of(n):
-            part = Partition(parts)
-            if prop36_partition_allowed(part) and mersenne_divisibility(2, part):
-                out.append((n, part))
-    return out
+    return [
+        (n, part)
+        for n in range(2, n_max + 1)
+        for part in lehmer_partitions(2, n)
+        if prop36_partition_allowed(part)
+    ]
 
 
 def parts_gcd(part: Partition) -> int:

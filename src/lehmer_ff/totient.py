@@ -9,9 +9,9 @@ which is also q^n * prod_i (1 - q^(-n_i)).  The zero residue is never
 coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
-whose totient divides q^deg(f) - 1.  It tests factor-degree shapes with
-the partition condition prod(q^{e_i} - 1) | q^n - 1 of
-``lehmer_search.mersenne_divisibility`` and multiplies out the passing
+whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
+from ``lehmer_search.lehmer_partitions``, the search for the partition
+condition prod(q^{e_i} - 1) | q^n - 1, and multiplies out the passing
 ones; ``lehmer_set_bruteforce`` factors every monic f by trial division
 (``fpoly.factor_bruteforce``) instead and is its independent oracle.
 Both check known structural facts about the hits (squarefreeness,
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from math import prod
 
@@ -41,8 +42,8 @@ from .fpoly import (
     irreducible_count,
     irreducibles,
 )
-from .intmath import decimal_str, divisors
-from .lehmer_search import Partition, mersenne_divisibility
+from .intmath import decimal_str
+from .lehmer_search import lehmer_partitions
 
 ORACLE_CAP = 1 << 20
 
@@ -133,36 +134,16 @@ def is_lehmer(f: Poly) -> tuple[bool, bool, TotientReport]:
 
 
 def lehmer_shapes(q: int, n: int) -> list[tuple[int, ...]]:
-    """Factor-degree shapes of the degree-n hits over F_q.
+    """Factor-degree shapes of the degree-n hits over F_q, in colex order.
 
     A hit is squarefree (q divides phi otherwise), so its phi is
-    prod(q^{e_i} - 1) over its factor degrees e_i, and q^e - 1 divides
-    q^n - 1 only if e | n.  The candidates are therefore the partitions
-    of n into proper divisors of n (hence into at least two parts) in
-    which a part d occurs at most ``irreducible_count(q, d)`` times; the
-    shapes returned are the nondecreasing candidates that pass
-    ``mersenne_divisibility``.
+    prod(q^{e_i} - 1) over its factor degrees e_i.  Its shape is thus a
+    partition of n that passes ``mersenne_divisibility`` and in which a
+    part d occurs at most ``irreducible_count(q, d)`` times: the search
+    ``lehmer_partitions`` with that cap.
     """
-    divs = [d for d in divisors(n) if d < n]
-    caps = [irreducible_count(q, d) for d in divs]
-    return [
-        parts
-        for parts in _capped_partitions(n, divs, caps)
-        if mersenne_divisibility(q, Partition(parts))
-    ]
-
-
-def _capped_partitions(n: int, divs: list[int], caps: list[int]):
-    """Nondecreasing tuples summing to n with divs[i] used <= caps[i] times."""
-    if n == 0:
-        yield ()
-        return
-    if not divs:
-        return
-    d, rest_divs = divs[-1], divs[:-1]
-    for u in range(min(caps[-1], n // d), -1, -1):
-        for rest in _capped_partitions(n - u * d, rest_divs, caps[:-1]):
-            yield rest + (d,) * u
+    cap = partial(irreducible_count, q)
+    return [part.parts for part in lehmer_partitions(q, n, cap)]
 
 
 def lehmer_set(
@@ -174,9 +155,9 @@ def lehmer_set(
     """All f with 1 <= deg(f) <= max_degree whose totient divides
     q^deg(f) - 1 and which are reducible.
 
-    Built from :func:`lehmer_shapes`: each passing shape is realised as
-    every product of distinct monic irreducibles of those degrees, so
-    only the degrees in a passing shape need an irreducible sieve.
+    Each shape of :func:`lehmer_shapes` is realised as every product of
+    distinct monic irreducibles of its degrees, so only the degrees in a
+    passing shape need an irreducible sieve.
     ``workers`` is validated and otherwise unused; it shards only
     :func:`lehmer_set_bruteforce`.
 

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from lehmer_ff import partitions_of
 from lehmer_ff.cli import dump_json, run
 
 
@@ -156,6 +158,24 @@ def test_partitions_all_includes_failures(capsys):
     assert len(out_all.splitlines()) > len(out_pass.splitlines())
 
 
+@pytest.mark.parametrize("a", ["2", "3"])
+def test_partitions_are_the_passing_rows_of_all_in_order(capsys, a):
+    argv = ("partitions", "--a", a, "--n-max", "14", "--format", "json")
+    _, out_pass, _ = run_cli(capsys, *argv)
+    _, out_all, _ = run_cli(capsys, *argv, "--all")
+    rows_all = json.loads(out_all)["rows"]
+    assert len(rows_all) == sum(len(list(partitions_of(n))) for n in range(2, 15))
+    assert json.loads(out_pass)["rows"] == [r for r in rows_all if r["divides"]]
+
+
+def test_totient_past_the_field_cap_fails_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "totient", "x+1", "--q", "1000000007")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert "supported cap 65536" in err
+
+
 def test_candidates_output(capsys):
     code, out, _ = run_cli(capsys, "candidates", "--n-max", "60", "--format", "json")
     assert code == 0
@@ -171,6 +191,22 @@ def test_verify_prop36_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "prop36", "--n-max", "30")
     assert code == 0
     assert "PASS" in out and "MISMATCH" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,label",
+    [
+        (("prop36", "--n-max", "50"), "for base 2, n <= 50"),
+        (("prop31", "--a-max", "8", "--n-max", "30"), "a in [3, 8], n <= 30"),
+    ],
+)
+def test_verify_partition_suites_reach(capsys, argv, label):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
+    assert time.perf_counter() - t0 < 5
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert [c["label"].endswith(label) for c in payload["checks"]] == [True]
 
 
 def test_verify_prop31_exit_zero(capsys):

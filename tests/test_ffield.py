@@ -97,6 +97,15 @@ def test_field_from_order():
         field_from_order(12)
 
 
+def test_field_from_order_rejects_q_past_the_cap_at_once():
+    # trial division up to a large prime q would run for minutes
+    t0 = time.perf_counter()
+    for q in (2**31 - 1, 2**17, 65537):
+        with pytest.raises(InvalidDegree, match="supported cap 65536"):
+            field_from_order(q)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_field_inv_examples(f4, f5):
     assert field_inv(f5, f5.element(2)) == f5.element(3)
     t = f4.element("t")

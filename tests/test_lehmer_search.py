@@ -1,6 +1,7 @@
 """Partition divisibility, exponent maps, bounds, and candidate degrees."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,6 +13,8 @@ from lehmer_ff import (
     candidate_degrees,
     classify_a_ge_3,
     exponent_map,
+    irreducible_count,
+    lehmer_partitions,
     mersenne_divisibility,
     partitions_of,
     verify_prop36,
@@ -147,6 +150,48 @@ def test_prop36_multiplicity_caps():
     assert not prop36_partition_allowed(Partition((1, 1, 1)))  # u_1 = 3
     assert not prop36_partition_allowed(Partition((2, 2, 4)))  # u_2 = 2 > 3/2
     assert prop36_partition_allowed(Partition((3, 3)))  # u_3 = 2 <= 7/3
+
+
+def _passing_in_order(a, n, cap=None):
+    """The oracle: every partition of n, filtered, in ``partitions_of`` order."""
+    return [
+        parts
+        for parts in partitions_of(n)
+        if (cap is None or all(parts.count(d) <= cap(d) for d in set(parts)))
+        and mersenne_divisibility(a, Partition(parts))
+    ]
+
+
+@pytest.mark.parametrize("a", range(2, 9))
+def test_lehmer_partitions_equal_the_oracle_in_order(a):
+    for n in range(1, 31):
+        found = [part.parts for part in lehmer_partitions(a, n)]
+        assert found == _passing_in_order(a, n), (a, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257])
+def test_capped_lehmer_partitions_equal_the_oracle_in_order(q):
+    cap = partial(irreducible_count, q)
+    for n in range(1, 21):
+        found = [part.parts for part in lehmer_partitions(q, n, cap)]
+        assert found == _passing_in_order(q, n, cap), (q, n)
+
+
+def test_classifications_equal_the_oracle_in_order():
+    prop36 = [
+        (n, parts)
+        for n in range(2, 31)
+        for parts in _passing_in_order(2, n)
+        if prop36_partition_allowed(Partition(parts))
+    ]
+    assert [(n, part.parts) for n, part in verify_prop36(30)] == prop36
+    prop31 = [
+        (a, parts)
+        for a in range(3, 9)
+        for n in range(2, 17)
+        for parts in _passing_in_order(a, n)
+    ]
+    assert [(a, part.parts) for a, part in classify_a_ge_3(8, 16)] == prop31
 
 
 def test_verify_prop36_windows():
