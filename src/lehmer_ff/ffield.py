@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -390,7 +391,7 @@ def field_from_order(q: int) -> FieldSpec:
         raise InvalidPrime(f"{q} is not a prime power")
     if q > MAX_Q:
         raise InvalidDegree(f"q = {q} exceeds the supported cap {MAX_Q}")
-    for p in range(2, q + 1):
+    for p in range(2, isqrt(q) + 1):
         if q % p == 0:
             k = 0
             m = q
@@ -400,7 +401,7 @@ def field_from_order(q: int) -> FieldSpec:
             if m != 1:
                 raise InvalidPrime(f"{q} is not a prime power")
             return field_make(p, k)
-    raise InvalidPrime(f"{q} is not a prime power")  # pragma: no cover
+    return field_make(q, 1)  # no p <= sqrt(q) divides q, so q is prime
 
 
 def field_inv(spec: FieldSpec, a: FieldElement) -> FieldElement:

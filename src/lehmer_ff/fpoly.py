@@ -6,6 +6,11 @@ degree ``NEG_INF``).  Polynomials are totally ordered by their integer
 encoding sum(enc(c_i) * q^i); that single order is reused for the
 irreducible sieve, factor lists, and enumeration streams.
 
+Every division runs one long-division loop, ``_reduce_cv``, which
+reduces a list in place and builds a quotient only for callers that ask
+for one: ``_divmod_cv`` and ``//`` do; gcd, powmod, ``%`` and the trace
+map take the remainder alone.
+
 Factoring is distinct-degree factorization through x^(q^i) mod f and
 gcd, with Cantor-Zassenhaus equal-degree splitting (a trace map when
 q = 2^k).  Irreducibility is the distinct-degree loop alone, stopped at
@@ -80,30 +85,40 @@ def _mul_cv(spec: FieldSpec, a, b):
     return tuple(out)
 
 
-def _divmod_cv(spec: FieldSpec, num, den):
+def _reduce_cv(spec: FieldSpec, rem: list, den, quo: list | None = None) -> list:
+    """Reduce ``rem`` modulo ``den`` in place and return it trimmed.
+
+    This is the one long-division loop of the module.  Quotient digits are
+    written into ``quo`` (a zero list of length len(rem) - deg den, when
+    that is positive) only when it is passed; callers that need only the
+    remainder skip building a quotient.
+    """
     if not den:
         raise DivisionByZero("polynomial division by zero")
     dd = len(den) - 1
-    if len(num) <= dd:
-        return (), tuple(num)
     mul, sub = spec.mul, spec.sub
     # factoring divides by monic polynomials, which need no scaling
     lead_inv = 1 if den[-1] == 1 else spec.inv(den[-1])
-    rem = list(num)
-    quo = [0] * (len(num) - dd)
-    for i in range(len(num) - 1 - dd, -1, -1):
+    for i in range(len(rem) - 1 - dd, -1, -1):
         c = rem[i + dd]
         if c:
             if lead_inv != 1:
                 c = mul(c, lead_inv)
-            quo[i] = c
+            if quo is not None:
+                quo[i] = c
             for j in range(dd):
                 dj = den[j]
                 if dj:
                     rem[i + j] = sub(rem[i + j], mul(c, dj))
             rem[i + dd] = 0
     del rem[dd:]
-    return tuple(_trim(quo)), tuple(_trim(rem))
+    return _trim(rem)
+
+
+def _divmod_cv(spec: FieldSpec, num, den):
+    quo = [0] * max(len(num) - len(den) + 1, 0)
+    rem = _reduce_cv(spec, list(num), den, quo)
+    return tuple(_trim(quo)), tuple(rem)
 
 
 def _monic_cv(spec: FieldSpec, cv):
@@ -115,8 +130,11 @@ def _monic_cv(spec: FieldSpec, cv):
 
 
 def _gcd_cv(spec: FieldSpec, a, b):
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _divmod_cv(spec, a, b)[1]
+        if len(b) == 1:
+            return (1,)  # a nonzero constant divides everything
+        a, b = b, _reduce_cv(spec, a, b)
     return _monic_cv(spec, a)
 
 
@@ -129,18 +147,18 @@ def _eval_cv(spec: FieldSpec, cv, x: int) -> int:
 
 
 def _powmod_cv(spec: FieldSpec, g, e: int, f):
-    _, g = _divmod_cv(spec, g, f)
+    g = _reduce_cv(spec, list(g), f)
     result = None  # 1, kept apart so the first product is not computed
     while e:
         if e & 1:
             if result is None:
                 result = g
             else:
-                result = _divmod_cv(spec, _mul_cv(spec, result, g), f)[1]
+                result = _reduce_cv(spec, list(_mul_cv(spec, result, g)), f)
         e >>= 1
         if e:
-            g = _divmod_cv(spec, _mul_cv(spec, g, g), f)[1]
-    return (1,) if result is None else result
+            g = _reduce_cv(spec, list(_mul_cv(spec, g, g)), f)
+    return (1,) if result is None else tuple(result)
 
 
 def _encode_cv(spec: FieldSpec, cv) -> int:
@@ -282,7 +300,9 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        other = self._check(other)
+        rem = _reduce_cv(self.spec, list(self.cv), other.cv)
+        return Poly._raw(self.spec, tuple(rem))
 
     def __eq__(self, other) -> bool:
         return (
@@ -516,7 +536,7 @@ def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
         if spec.p == 2:
             t = s = a
             for _ in range(spec.k * d - 1):
-                t = _divmod_cv(spec, _mul_cv(spec, t, t), g)[1]
+                t = _reduce_cv(spec, list(_mul_cv(spec, t, t)), g)
                 s = _add_cv(spec, s, t)
         else:
             s = _sub_cv(spec, _powmod_cv(spec, a, (q**d - 1) // 2, g), (1,))

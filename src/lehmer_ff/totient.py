@@ -7,6 +7,9 @@ totient counts the residues coprime to f:
 
 which is also q^n * prod_i (1 - q^(-n_i)).  The zero residue is never
 coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
+``totient_bruteforce`` is the oracle for that formula: one gcd per
+monic residue, times the q - 1 units that scale it (a unit multiple of
+g has the same gcd with f).
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
@@ -34,6 +37,7 @@ from .fpoly import (
     Poly,
     _code_span,
     _decode_cv,
+    _decode_monic,
     _factor_cv,
     _factor_cv_bruteforce,
     _gcd_cv,
@@ -66,7 +70,14 @@ def _phi_from_parts(q: int, parts) -> int:
 def totient_bruteforce(f: Poly) -> int:
     """Count residues g, deg(g) < deg(f), with gcd(f, g) = 1, directly.
 
-    Exponential by design; the independent oracle for :func:`totient`.
+    gcd(f, c*g) = gcd(f, g) for every unit c, so the nonzero residues fall
+    into classes of q - 1 that are all coprime to f or all not, and each
+    class holds exactly one monic g.  The count is therefore taken over
+    the monic g of degree 0 to deg(f) - 1, one gcd each, and multiplied
+    by q - 1; it is still a count of coprime residues and uses no
+    factorization.  Exponential by design; the independent oracle for
+    :func:`totient`.  Raises OracleOverflow when q^deg(f) exceeds
+    ``ORACLE_CAP``.
     """
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
@@ -77,10 +88,11 @@ def totient_bruteforce(f: Poly) -> int:
         raise OracleOverflow(f"q^deg = {q}^{n} exceeds the oracle cap {ORACLE_CAP}")
     fcv = f.cv
     count = 0
-    for code in range(1, q**n):
-        if _gcd_cv(spec, fcv, _decode_cv(q, code)) == (1,):
-            count += 1
-    return count
+    for d in range(n):
+        for code in range(q**d):
+            if _gcd_cv(spec, fcv, _decode_monic(q, code, d)) == (1,):
+                count += 1
+    return count * (q - 1)
 
 
 @dataclass(frozen=True)

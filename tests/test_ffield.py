@@ -1,5 +1,6 @@
 """Field construction, arithmetic axioms, and the element text form."""
 
+import importlib
 import random
 import time
 
@@ -24,6 +25,8 @@ from lehmer_ff.ffield import (
     field_from_order,
 )
 from lehmer_ff.intmath import is_prime
+
+ffield_module = importlib.import_module("lehmer_ff.ffield")
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -104,6 +107,41 @@ def test_field_from_order_rejects_q_past_the_cap_at_once():
         with pytest.raises(InvalidDegree, match="supported cap 65536"):
             field_from_order(q)
     assert time.perf_counter() - t0 < 1
+
+
+def test_field_from_order_reads_every_q_up_to_the_cap(monkeypatch):
+    """(p, k) or InvalidPrime for every q <= 2^16, against a sieve of
+    smallest prime factors; field building is stubbed out, so the test
+    checks the prime-power decision alone."""
+    cap = 1 << 16
+    spf = list(range(cap + 1))
+    for i in range(2, int(cap**0.5) + 1):
+        if spf[i] == i:
+            for j in range(i * i, cap + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    monkeypatch.setattr(ffield_module, "field_make", lambda p, k=1: (p, k))
+    for q in range(-1, cap + 1):
+        if q < 2:
+            expected = InvalidPrime
+        else:
+            p, m, k = spf[q], q, 0
+            while m % p == 0:
+                m, k = m // p, k + 1
+            expected = (p, k) if m == 1 else InvalidPrime
+        if expected is InvalidPrime:
+            with pytest.raises(InvalidPrime, match="is not a prime power"):
+                field_from_order(q)
+        else:
+            assert field_from_order(q) == expected, q
+
+
+def test_field_from_order_of_a_large_prime_is_fast():
+    assert field_from_order(65521).q == 65521
+    t0 = time.perf_counter()
+    for _ in range(1000):
+        field_from_order(65521)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_field_inv_examples(f4, f5):

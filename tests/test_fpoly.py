@@ -282,6 +282,103 @@ def test_factor_is_repeatable():
         assert first.expand() == f
 
 
+# -- kernel properties against a FieldElement reference ----------------------
+
+# prime, binary and odd extension fields; 243 = 3^5 adds through Zech tables
+KERNEL_FIELDS = (2, 3, 4, 9, 243, 257, 4096, 65521)
+
+
+def ref_rem(a, b):
+    """a mod b on trimmed lists of FieldElement, by schoolbook division."""
+    a = list(a)
+    lead_inv = b[-1].inverse()
+    while len(a) >= len(b):
+        c = a[-1] * lead_inv
+        shift = len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = a[shift + j] - c * bj
+        while a and a[-1].is_zero():
+            a.pop()
+    return a
+
+
+def ref_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, ref_rem(a, b)
+    lead_inv = a[-1].inverse()
+    return [c * lead_inv for c in a]
+
+
+def kernel_operands(q, count=40):
+    """Seeded (num, den) pairs: den often non-monic, sometimes constant,
+    num sometimes shorter than den and every eighth num zero."""
+    spec = field_from_order(q)
+    rng = random.Random(RNG_SEED * 7919 + q)
+    pairs = []
+    for i in range(count):
+        den = random_poly(rng, spec, 6)
+        num = Poly.zero(spec) if i % 8 == 0 else random_poly(rng, spec, 12)
+        pairs.append((num, den))
+    return spec, rng, pairs
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_divmod_reconstructs_the_dividend(q):
+    spec, _, pairs = kernel_operands(q)
+    assert any(len(den.cv) == 1 for _, den in pairs)
+    assert any(len(num.cv) < len(den.cv) for num, den in pairs)
+    assert q == 2 or any(not den.is_monic() for _, den in pairs)
+    for num, den in pairs:
+        quo, rem = divmod(num, den)
+        assert quo * den + rem == num, (str(num), str(den))
+        assert rem.degree < den.degree
+        assert num % den == rem
+        assert num // den == quo
+        assert Poly(spec, ref_rem(num.coeffs, den.coeffs)) == rem
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_gcd_equals_field_element_euclid(q):
+    spec, rng, pairs = kernel_operands(q)
+    zero = Poly.zero(spec)
+    for num, den in pairs:
+        common = random_poly(rng, spec, 3)
+        cases = ((num, den), (den, num), (num * common, den * common),
+                 (num, zero), (zero, den))
+        for f, g in cases:
+            if f.is_zero() and g.is_zero():
+                continue
+            expected = Poly(spec, ref_gcd(f.coeffs, g.coeffs))
+            assert poly_gcd(f, g) == expected, (str(f), str(g))
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_powmod_equals_repeated_multiplication(q):
+    spec, _, pairs = kernel_operands(q, count=16)
+    for g, f in pairs:
+        if len(f.cv) < 2:
+            continue
+        for base in (g, Poly.zero(spec)):
+            acc = Poly.one(spec)
+            for e in range(10):
+                assert poly_powmod(base, e, f) == acc, (str(base), e, str(f))
+                acc = Poly(spec, ref_rem((acc * base).coeffs, f.coeffs))
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_factor_expands_back(q):
+    spec = field_from_order(q)
+    rng = random.Random(RNG_SEED * 7919 + q)
+    for _ in range(12):
+        f = random_poly(rng, spec, 8)
+        if f.degree < 1:
+            continue
+        fac = factor(f)
+        assert fac.expand() == f, str(f)
+        assert all(p.is_monic() and p.degree >= 1 for p, _ in fac.factors)
+
+
 # -- enumeration --------------------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from lehmer_ff import (
     mersenne_divisibility,
     parse_poly,
     partitions_of,
+    poly_gcd,
     totient,
     totient_bruteforce,
     totient_report,
@@ -96,6 +97,31 @@ def test_oracle_equivalence_exhaustive(q, max_deg, f2, f3, f4):
     for n in range(1, max_deg + 1):
         for f in enumerate_polys(spec, n, monic_only=True):
             assert totient(f) == totient_bruteforce(f), str(f)
+
+
+def coprime_residue_count(f):
+    """The literal definition: every nonzero g with deg(g) < deg(f)."""
+    one = Poly.one(f.spec)
+    return sum(
+        poly_gcd(f, g) == one
+        for d in range(f.degree)
+        for g in enumerate_polys(f.spec, d, monic_only=False)
+    )
+
+
+@pytest.mark.parametrize(
+    "q,max_deg,units",
+    [(2, 5, False), (3, 3, True), (4, 3, True), (5, 2, False),
+     (7, 2, False), (8, 2, False), (9, 2, True)],
+)
+def test_bruteforce_equals_the_literal_count(q, max_deg, units):
+    spec = field_from_order(q)
+    scales = list(spec.units()) if units else [spec.element(1)]
+    for n in range(1, max_deg + 1):
+        for monic in enumerate_polys(spec, n, monic_only=True):
+            for u in scales:
+                f = monic * u
+                assert totient_bruteforce(f) == coprime_residue_count(f), str(f)
 
 
 def test_is_lehmer_examples(f2):
