@@ -6,7 +6,7 @@ top-level "schema": 1 field), csv (with a header row).  Diagnostics go
 to stderr.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 resource limit (oracle cap or factoring budget exceeded).
+3 resource limit (oracle cap, factoring budget or size cap exceeded).
 """
 
 from __future__ import annotations

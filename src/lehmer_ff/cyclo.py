@@ -1,21 +1,23 @@
 """Integer-side cyclotomic machinery and primitive prime divisors.
 
-The n-th cyclotomic polynomial is computed by exact division,
+Every cyclotomic object is one Moebius product, never complex roots:
 
-    Phi_n(x) = (x^n - 1) / prod_{d | n, d < n} Phi_d(x),
+    Phi_n(x) = prod_{d | n} (x^d - 1)^{mu(n/d)}.
 
-never through complex roots, and the same recurrence evaluates Phi_n(a)
-as an integer for |a| >= 2 (for |a| <= 1 the coefficient form is used,
-since x^n - 1 may vanish there).  Values are memoized.
+The coefficients expand it as a power series cut at degree phi(n).  A
+value, Phi_n(a) or the homogeneous b^phi(n) * Phi_n(a/b), is the exact
+quotient prod (a^d - b^d)^{mu(n/d)} for |a| >= 2; for |a| <= 1, where
+a factor may vanish, it comes from the coefficients.  Nothing is
+memoized, and oversized indices and values raise ``SizeCapExceeded``.
 
 A prime p | a^n - b^n is *primitive* when p divides no a^k - b^k with
 1 <= k < n.  ``zsigmondy`` factors a^n - b^n (deterministic trial
-division within a budget) and classifies each prime straight from that
-definition.  ``primitive_part`` computes the product of primitive prime
-powers without factoring anything: the only prime that can divide both
-n and the homogeneous value Phi_n(a, b) is the largest prime factor of
-n, and stripping it leaves exactly the primitive part.  The two routes
-are cross-checked in the test suite.
+division within a budget) and classifies each prime p by the order of
+a/b mod p, the first k with p | a^k - b^k.  ``primitive_part`` computes
+the product of primitive prime powers without factoring anything: the
+only prime that can divide both n and the homogeneous value Phi_n(a, b)
+is the largest prime factor of n, and stripping it leaves exactly the
+primitive part.  The two routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -26,11 +28,21 @@ from math import gcd
 from .errors import (
     FactoringBudgetExceeded,
     InvalidInput,
+    SizeCapExceeded,
     VerificationError,
 )
-from .intmath import divisors, factorize, largest_prime_factor, valuation
+from .intmath import (
+    divisors,
+    factorize,
+    largest_prime_factor,
+    mobius_divisors,
+    valuation,
+)
 
 DEFAULT_FACTORING_BUDGET = 1 << 64
+# about 17x and 13x the largest index and value any suite or test uses
+INDEX_CAP = 1 << 16
+VALUE_BITS_CAP = 1 << 18
 
 EXCEPTION_N6 = "N6"
 EXCEPTION_POWER_OF_TWO_SUM = "POWER_OF_TWO_SUM"
@@ -87,95 +99,69 @@ class IntPoly:
         return "".join(parts)
 
 
-def _intpoly_div_exact(num: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    dd = len(den) - 1
-    quo = [0] * (len(num) - dd)
-    rem = list(num)
-    for i in range(len(num) - 1 - dd, -1, -1):
-        c = rem[i + dd]
-        if c:
-            if c % den[-1]:
-                raise VerificationError("non-exact cyclotomic division")
-            c //= den[-1]
-            quo[i] = c
-            for j in range(dd + 1):
-                rem[i + j] -= c * den[j]
-    if any(rem):
-        raise VerificationError("non-exact cyclotomic division")
-    return tuple(quo)
-
-
-_CYCLO_POLY: dict[int, IntPoly] = {}
+def _check_index(n: int) -> None:
+    if n < 1:
+        raise InvalidInput("cyclotomic index must be >= 1")
+    if n > INDEX_CAP:
+        raise SizeCapExceeded(f"cyclotomic index {n} exceeds the cap {INDEX_CAP}")
 
 
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial with exact integer coefficients."""
-    if n < 1:
-        raise InvalidInput("cyclotomic index must be >= 1")
-    cached = _CYCLO_POLY.get(n)
-    if cached is not None:
-        return cached
-    for d in sorted(divisors(n)):
-        if d in _CYCLO_POLY:
-            continue
-        if d == 1:
-            _CYCLO_POLY[1] = IntPoly((-1, 1))
-            continue
-        den = IntPoly((1,))
-        for e in divisors(d):
-            if e < d:
-                den = den * _CYCLO_POLY[e]
-        xn_minus_1 = [0] * (d + 1)
-        xn_minus_1[0] = -1
-        xn_minus_1[d] = 1
-        _CYCLO_POLY[d] = IntPoly(_intpoly_div_exact(xn_minus_1, den.coeffs))
-    return _CYCLO_POLY[n]
+    """The n-th cyclotomic polynomial with exact integer coefficients.
+
+    For n >= 2 the signs cancel to prod (1 - x^d)^{mu(n/d)}: multiplying
+    by 1 - x^d is one descending pass, dividing by it one ascending pass.
+    """
+    _check_index(n)
+    if n == 1:
+        return IntPoly((-1, 1))
+    terms = mobius_divisors(n)
+    deg = sum(mu * d for d, mu in terms)  # phi(n)
+    c = [1] + [0] * deg
+    for d, mu in terms:
+        if mu > 0:
+            for i in range(deg, d - 1, -1):
+                c[i] -= c[i - d]
+        else:
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+    return IntPoly(tuple(c))
 
 
-_CYCLO_VALUE: dict[tuple[int, int], int] = {}
+def _value(n: int, a: int, b: int) -> int:
+    """prod (a^d - b^d)^{mu(n/d)}, exact, for |a| > b >= 1."""
+    terms = mobius_divisors(n)
+    bits = sum(mu * d for d, mu in terms) * abs(a).bit_length()
+    if bits > VALUE_BITS_CAP:
+        raise SizeCapExceeded(
+            f"Phi_{n} value of about {bits} bits exceeds the cap {VALUE_BITS_CAP}"
+        )
+    num = den = 1
+    for d, mu in terms:
+        if mu > 0:
+            num *= a**d - b**d
+        else:
+            den *= a**d - b**d
+    value, rem = divmod(num, den)
+    if rem:
+        raise VerificationError("non-exact cyclotomic value division")
+    return value
 
 
 def cyclotomic_eval(n: int, a: int) -> int:
-    """Phi_n(a) as an exact integer."""
-    if n < 1:
-        raise InvalidInput("cyclotomic index must be >= 1")
+    """Phi_n(a) as an exact integer, by the value product for |a| >= 2."""
+    _check_index(n)
     if -1 <= a <= 1:
         return cyclotomic(n)(a)
-    key = (n, a)
-    cached = _CYCLO_VALUE.get(key)
-    if cached is not None:
-        return cached
-    for d in sorted(divisors(n)):
-        if (d, a) in _CYCLO_VALUE:
-            continue
-        denom = 1
-        for e in divisors(d):
-            if e < d:
-                denom *= _CYCLO_VALUE[(e, a)]
-        num = a**d - 1
-        if num % denom:
-            raise VerificationError("non-exact cyclotomic value division")
-        _CYCLO_VALUE[(d, a)] = num // denom
-    return _CYCLO_VALUE[key]
+    return _value(n, a, 1)
 
 
 def cyclotomic_eval_pair(n: int, a: int, b: int) -> int:
     """Homogeneous value b^phi(n) * Phi_n(a/b) for coprime a > b >= 1."""
-    if n < 1:
-        raise InvalidInput("cyclotomic index must be >= 1")
-    if b == 1:
-        return cyclotomic_eval(n, a)
+    _check_index(n)
     if not (a > b >= 1 and gcd(a, b) == 1):
         raise InvalidInput("need coprime a > b >= 1")
-    denom = 1
-    for d in divisors(n):
-        if d < n:
-            denom *= cyclotomic_eval_pair(d, a, b)
-    num = a**n - b**n
-    if num % denom:
-        raise VerificationError("non-exact homogeneous cyclotomic division")
-    return num // denom
+    return _value(n, a, b)
 
 
 def ord_p(p: int, m: int) -> int:
@@ -277,7 +263,10 @@ def zsigmondy(
 
 
 def _first_dividing_index(a: int, b: int, p: int, n: int) -> int:
-    for k in range(1, n + 1):
-        if (pow(a, k, p) - pow(b, k, p)) % p == 0:
-            return k
+    """Smallest k with p | a^k - b^k for a prime p of a^n - b^n: as p
+    divides neither a nor b, the order of a/b mod p, a divisor of n."""
+    r = a * pow(b, -1, p) % p
+    for d in divisors(n):
+        if pow(r, d, p) == 1:
+            return d
     raise VerificationError(f"{p} does not divide {a}^{n} - {b}^{n}")  # pragma: no cover

@@ -58,6 +58,10 @@ class FactoringBudgetExceeded(LehmerFFError):
     """An integer to be factored exceeds the configured budget."""
 
 
+class SizeCapExceeded(LehmerFFError):
+    """A request exceeds a fixed size cap; raised before any work starts."""
+
+
 class PrecisionAlert(LehmerFFError):
     """A numeric comparison was decided by a margin below the safety gap."""
 
@@ -67,4 +71,4 @@ class VerificationError(LehmerFFError):
 
 
 #: Errors that signal a resource/limit problem rather than bad input.
-RESOURCE_ERRORS = (OracleOverflow, FactoringBudgetExceeded)
+RESOURCE_ERRORS = (OracleOverflow, FactoringBudgetExceeded, SizeCapExceeded)

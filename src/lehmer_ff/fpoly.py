@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -38,8 +39,8 @@ from .errors import (
     ParseError,
     UndefinedGcd,
 )
-from .ffield import FieldElement, FieldSpec
-from .intmath import divisors, mobius
+from .ffield import FieldElement, FieldSpec, field_make
+from .intmath import mobius_divisors
 
 NEG_INF = float("-inf")
 
@@ -395,33 +396,29 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-_IRR_CACHE: dict[tuple[int, int, int], tuple] = {}
+# (field, degree) sieves kept: a `sweep` session touches 4, and
+# `verify --suite main-theorem` 16
+_SIEVE_CACHE_SIZE = 32
 
 
-def _irreducible_cvs(spec: FieldSpec, d: int) -> tuple:
-    """Sorted coefficient tuples of all monic irreducibles of degree d."""
-    key = (spec.p, spec.k, d)
-    cached = _IRR_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=_SIEVE_CACHE_SIZE)
+def _irreducible_cvs(p: int, k: int, d: int) -> tuple:
+    """Sorted coefficient tuples of all monic irreducibles of degree d
+    over F_{p^k}; keyed by (p, k), so the cache holds no field."""
+    spec = field_make(p, k)
     q = spec.q
     if d == 1:
-        result = tuple((c, 1) for c in range(q))
-    else:
-        qd = q**d
-        composite = bytearray(qd)
-        for d1 in range(1, d // 2 + 1):
-            cof = q ** (d - d1)
-            for pcv in _irreducible_cvs(spec, d1):
-                for gcode in range(cof):
-                    gcv = _decode_monic(q, gcode, d - d1)
-                    prod = _mul_cv(spec, pcv, gcv)
-                    composite[_encode_cv(spec, prod) - qd] = 1
-        result = tuple(
-            _decode_monic(q, m, d) for m in range(qd) if not composite[m]
-        )
-    _IRR_CACHE[key] = result
-    return result
+        return tuple((c, 1) for c in range(q))
+    qd = q**d
+    composite = bytearray(qd)
+    for d1 in range(1, d // 2 + 1):
+        cof = q ** (d - d1)
+        for pcv in _irreducible_cvs(p, k, d1):
+            for gcode in range(cof):
+                gcv = _decode_monic(q, gcode, d - d1)
+                prod = _mul_cv(spec, pcv, gcv)
+                composite[_encode_cv(spec, prod) - qd] = 1
+    return tuple(_decode_monic(q, m, d) for m in range(qd) if not composite[m])
 
 
 def _decode_monic(q: int, code: int, degree: int):
@@ -437,14 +434,14 @@ def irreducibles(spec: FieldSpec, d: int) -> list[Poly]:
     """All monic irreducibles of degree d, sorted by encoding."""
     if d < 1:
         raise InvalidInput("degree must be >= 1")
-    return [Poly._raw(spec, cv) for cv in _irreducible_cvs(spec, d)]
+    return [Poly._raw(spec, cv) for cv in _irreducible_cvs(spec.p, spec.k, d)]
 
 
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q (necklace count)."""
     if q < 2 or d < 1:
         raise InvalidInput("need q >= 2 and d >= 1")
-    total = sum(mobius(d // e) * q**e for e in divisors(d))
+    total = sum(mu * q**e for e, mu in mobius_divisors(d))
     if total % d:
         raise InvalidInput(f"necklace sum not divisible by {d}")  # pragma: no cover
     return total // d
@@ -576,7 +573,7 @@ def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
     # higher-degree factors: trial division against the sieve
     d = 2
     while 2 * d <= len(work) - 1:
-        for pcv in _irreducible_cvs(spec, d):
+        for pcv in _irreducible_cvs(spec.p, spec.k, d):
             while True:
                 quo, rem = _divmod_cv(spec, tuple(work), pcv)
                 if rem:

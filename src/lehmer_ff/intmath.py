@@ -94,15 +94,13 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise InvalidInput(f"mobius undefined for {n}")
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
+def mobius_divisors(n: int) -> list[tuple[int, int]]:
+    """Pairs (d, mu(n/d)), n first, for the divisors d of n >= 1 where n/d
+    is a product of distinct primes: the nonzero terms of Moebius inversion."""
+    terms = [(n, 1)]
+    for p in factorize(n):
+        terms += [(d // p, -mu) for d, mu in terms]
+    return terms
 
 
 def euler_phi(n: int) -> int:

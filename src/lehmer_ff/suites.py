@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cyclo import cyclotomic_eval, ord_p, primitive_part, zsigmondy
-from .errors import InvalidInput
+from .errors import InvalidInput, SizeCapExceeded
 from .ffield import FieldSpec, field_from_order
 from .fpoly import Poly, enumerate_polys, irreducibles, poly_gcd, poly_powmod
 from .intmath import euler_phi, ord2, phi_sieve, sigma_sieve, valuation
@@ -325,7 +325,13 @@ def _check_value_gcds() -> list:
 # exact bound suite
 
 
+# 10x the default; the two sieves at this limit take about 5 s and 100 MB
+BOUNDS_LIMIT_CAP = 1_000_000
+
+
 def suite_bounds(limit: int = 100_000) -> SuiteReport:
+    if limit > BOUNDS_LIMIT_CAP:
+        raise SizeCapExceeded(f"bounds limit {limit} exceeds the cap {BOUNDS_LIMIT_CAP}")
     report = SuiteReport("bounds")
     sig = sigma_sieve(limit)
     # (sigma(n)/n)^4 < (32/25)^4 * n, cross-multiplied in integers

@@ -234,6 +234,40 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         assert out == "" and "oracle cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cyclotomic", "--n", "65537"),
+        ("cyclotomic", "--n", str(10**18)),
+        ("cyclotomic", "--n", "65536", "--eval", "1000000"),
+        ("cyclotomic", "--n", "60000", "--eval", str(10**12)),
+        ("verify", "--suite", "bounds", "--n-max", "1000001"),
+        ("verify", "--suite", "bounds", "--n-max", str(10**12)),
+    ],
+)
+def test_oversized_requests_exit_3_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == "" and "exceeds the cap" in err
+
+
+def test_largest_requests_inside_the_caps_run(capsys):
+    from lehmer_ff.cyclo import INDEX_CAP
+
+    code, out, _ = run_cli(capsys, "cyclotomic", "--n", str(INDEX_CAP))
+    assert code == 0 and out == f"Phi_{INDEX_CAP} = x^{INDEX_CAP // 2}+1\n"
+    # phi(65521) * bit_length(3) = 131,040 bits, half the value cap
+    code, out, _ = run_cli(
+        capsys, "cyclotomic", "--n", "65521", "--eval", "3", "--format", "json"
+    )
+    assert code == 0
+    value = json.loads(out)["value"]  # (3^65521 - 1) / 2
+    assert len(value) == 31262
+    assert int(value[-18:]) == (pow(3, 65521, 2 * 10**18) - 1) // 2
+
+
 def test_lehmer_beyond_oracle_reach(capsys):
     code, out, _ = run_cli(
         capsys, "lehmer", "--q", "2", "--max-degree", "40", "--format", "json"

@@ -1,10 +1,14 @@
 """Cyclotomic values, valuations, and primitive prime divisors."""
 
+import time
+from math import gcd
+
 import pytest
 
 from lehmer_ff import (
     FactoringBudgetExceeded,
     InvalidInput,
+    SizeCapExceeded,
     UndefinedValuation,
     cyclotomic,
     cyclotomic_eval,
@@ -13,8 +17,27 @@ from lehmer_ff import (
     primitive_part,
     zsigmondy,
 )
-from lehmer_ff.cyclo import cyclotomic_eval_pair
-from lehmer_ff.intmath import divisors, euler_phi
+from lehmer_ff.cyclo import _first_dividing_index, cyclotomic_eval_pair
+from lehmer_ff.intmath import divisors, euler_phi, factorize, is_prime, mobius_divisors
+
+
+def test_mobius_divisors_match_the_definition():
+    def mu(m):  # (-1)^(number of primes) if squarefree, else 0
+        sign, p = 1, 2
+        while m > 1:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    for n in range(1, 1001):
+        terms = mobius_divisors(n)
+        expected = {d: mu(n // d) for d in range(1, n + 1) if n % d == 0}
+        assert len(terms) == len(dict(terms)), n
+        assert dict(terms) == {d: m for d, m in expected.items() if m}, n
 
 
 def test_cyclotomic_known_polynomials():
@@ -37,10 +60,9 @@ def test_cyclotomic_rejects_nonpositive():
 
 
 def test_cyclotomic_coefficient_product_rebuilds_xn_minus_1():
-    for n in (1, 2, 6, 30, 105):
-        prod = cyclotomic(1)
-        from lehmer_ff.cyclo import IntPoly
+    from lehmer_ff.cyclo import IntPoly
 
+    for n in [*range(1, 301), 720, 1155, 2310, 5040]:
         prod = IntPoly((1,))
         for d in divisors(n):
             prod = prod * cyclotomic(d)
@@ -57,9 +79,9 @@ def test_cyclotomic_eval_examples():
 
 
 def test_cyclotomic_eval_matches_coefficient_form():
-    for n in range(1, 61):
+    for n in [*range(1, 61), 210, 360, 1155]:
         poly = cyclotomic(n)
-        for a in (-3, -2, -1, 0, 1, 2, 5, 10):
+        for a in (-(10**6), -3, -2, -1, 0, 1, 2, 5, 10, 10**6):
             assert cyclotomic_eval(n, a) == poly(a), (n, a)
 
 
@@ -75,7 +97,7 @@ def test_value_product_identity():
 def test_homogeneous_values():
     assert cyclotomic_eval_pair(2, 5, 3) == 8
     assert cyclotomic_eval_pair(6, 2, 1) == 3
-    for n in range(1, 25):
+    for n in range(1, 61):
         for a, b in ((3, 2), (5, 2), (7, 3)):
             prod = 1
             for d in divisors(n):
@@ -122,6 +144,42 @@ def test_zsigmondy_primes_satisfy_definition():
             assert value % p == 0
             assert all((a**k - b**k) % p for k in range(1, n))
         assert r.primitive_part == primitive_part(a, b, n)
+
+
+def test_first_dividing_index_equals_the_linear_scan():
+    """Every prime below 10,000 of a^n - b^n, and every prime when
+    a^n - b^n < 2^40, against the first k with p | a^k - b^k."""
+    small_primes = [p for p in range(2, 10_000) if is_prime(p)]
+    checked = 0
+    for a in range(2, 13):
+        for b in range(1, a):
+            if gcd(a, b) != 1:
+                continue
+            for n in range(1, 41):
+                value = a**n - b**n
+                primes = {p for p in small_primes if value % p == 0}
+                if value < 1 << 40:
+                    primes |= set(factorize(value))
+                for p in primes:
+                    k = next(k for k in range(1, n + 1) if (a**k - b**k) % p == 0)
+                    assert _first_dividing_index(a, b, p, n) == k, (a, b, n, p)
+                    checked += 1
+    assert checked > 7_000
+
+
+def test_oversized_values_fail_before_any_work():
+    # phi(60000) * bit_length(10^6) = 320,000 bits, over the 2^18-bit cap
+    t0 = time.perf_counter()
+    for call in (
+        lambda: cyclotomic_eval(60000, 10**6),
+        lambda: cyclotomic_eval_pair(60000, 10**6 + 1, 3),
+        lambda: primitive_part(10**6, 1, 60000),
+        lambda: cyclotomic(65537),
+        lambda: cyclotomic_eval(10**30, 0),
+    ):
+        with pytest.raises(SizeCapExceeded):
+            call()
+    assert time.perf_counter() - t0 < 1
 
 
 def test_zsigmondy_validation():

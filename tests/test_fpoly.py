@@ -144,6 +144,23 @@ def test_degree_weighted_counts_sum_to_q_power(q):
         assert total == q**n
 
 
+def test_sieve_cache_is_bounded():
+    """Twin of the field-cache bound: degree-1 sieves of more prime fields
+    than the cache holds evict F_2's degree-3 sieve, which then rebuilds
+    equal."""
+    from lehmer_ff.fpoly import _SIEVE_CACHE_SIZE, _irreducible_cvs
+    from lehmer_ff.intmath import is_prime
+
+    first = _irreducible_cvs(2, 1, 3)
+    others = [p for p in range(3, 1000) if is_prime(p)][: _SIEVE_CACHE_SIZE + 1]
+    for p in others:
+        assert len(irreducibles(field_make(p), 1)) == p
+        assert _irreducible_cvs.cache_info().currsize <= _SIEVE_CACHE_SIZE
+    rebuilt = _irreducible_cvs(2, 1, 3)
+    assert rebuilt is not first  # F_2's sieves were the least recently used
+    assert rebuilt == first == ((1, 1, 0, 1), (1, 0, 1, 1))
+
+
 @pytest.mark.parametrize("q,dmax", [(2, 8), (3, 8), (4, 8)])
 def test_sieve_length_matches_count(q, dmax, f2, f3, f4):
     spec = {2: f2, 3: f3, 4: f4}[q]
