@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -59,7 +60,14 @@ def _default_workers() -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    ``run`` reuses it for every call: ``parse_args`` returns a fresh
+    namespace each time and nothing mutates the parser once built, so
+    callers must treat it as read-only.
+    """
     parser = argparse.ArgumentParser(
         prog="lehmer-ff",
         description=(

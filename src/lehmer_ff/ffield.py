@@ -121,14 +121,22 @@ def _generator(p: int, k: int, modulus: Sequence[int]) -> list[int]:
 
 
 def _powers(g: list[int], modulus: Sequence[int], p: int, n: int) -> list[int]:
-    """Encodings of g^0, ..., g^(n-1)."""
-    out, cur = [], [1]
+    """Encodings of g^0, ..., g^(n-1), for g of degree >= 1 below the
+    monic modulus."""
+    k = len(modulus) - 1
+    red = [-c % p for c in modulus[:k]]  # t^k = sum(red[i] * t^i)
+    weights = [p**i for i in range(k)]
+    top, *rest = reversed(g)
+    out, cur = [], [1] + [0] * (k - 1)
     for _ in range(n):
-        enc = 0
-        for c in reversed(cur):
-            enc = enc * p + c
-        out.append(enc)
-        cur = _fp_rem(_fp_mul(cur, g, p), modulus, p)
+        out.append(sum(map(operator.mul, cur, weights)))
+        # cur * g by Horner over the digits of g: acc = acc * t + g_j * cur,
+        # where acc * t shifts the digits up and folds the top one back
+        acc = [top * c for c in cur]
+        for gj in rest:
+            hi = acc[-1]
+            acc = [(a + hi * r + gj * c) % p for a, r, c in zip([0, *acc], red, cur)]
+        cur = acc
     return out
 
 

@@ -138,23 +138,42 @@ def valuation(p: int, m: int) -> int:
     return v
 
 
+def sigma_phi_sieve(limit: int) -> tuple[list[int], list[int]]:
+    """(sig, phi) with sig[n] = sigma(n) and phi[n] = phi(n) for
+    0 <= n <= limit (both 0 at n = 0), from one smallest-prime-factor sieve.
+
+    Both functions are multiplicative, so writing n = p^e * r with p the
+    smallest prime of n gives each value from its value at r < n and a
+    closed form at p^e.
+    """
+    spf = [0] * (limit + 1)  # 0 marks a prime
+    # descending, so the smallest d >= 2 with d | n and d * d <= n, which
+    # is the smallest prime of a composite n, is written last
+    for d in range(isqrt(limit), 1, -1):
+        spf[d * d :: d] = [d] * len(range(d * d, limit + 1, d))
+    sig = [0] * (limit + 1)
+    phi = [0] * (limit + 1)
+    if limit >= 1:
+        sig[1] = phi[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n] or n
+        r, pe = n // p, p
+        while r % p == 0:
+            r //= p
+            pe *= p
+        sig[n] = sig[r] * ((pe * p - 1) // (p - 1))
+        phi[n] = phi[r] * (pe - pe // p)
+    return sig, phi
+
+
 def sigma_sieve(limit: int) -> list[int]:
     """sig[n] = sum of divisors of n, for 0 <= n <= limit (sig[0] = 0)."""
-    sig = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            sig[m] += d
-    return sig
+    return sigma_phi_sieve(limit)[0]
 
 
 def phi_sieve(limit: int) -> list[int]:
     """phi[n] for 0 <= n <= limit (phi[0] = 0)."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+    return sigma_phi_sieve(limit)[1]
 
 
 def ord2(n: int) -> int:

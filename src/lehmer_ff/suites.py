@@ -15,7 +15,7 @@ from .cyclo import cyclotomic_eval, ord_p, primitive_part, zsigmondy
 from .errors import InvalidInput, SizeCapExceeded
 from .ffield import FieldSpec, field_from_order
 from .fpoly import Poly, enumerate_polys, irreducibles, poly_gcd, poly_powmod
-from .intmath import euler_phi, ord2, phi_sieve, sigma_sieve, valuation
+from .intmath import euler_phi, ord2, sigma_phi_sieve, valuation
 from .lehmer_search import (
     Partition,
     abundancy,
@@ -192,19 +192,27 @@ def suite_prop36(n_max: int = 30) -> SuiteReport:
 
 def suite_cyclo_lemmas() -> SuiteReport:
     report = SuiteReport("cyclo-lemmas")
+    # the checks revisit the same (n, a) pairs about three times each; the
+    # values live only as long as this run
+    values: dict[tuple[int, int], int] = {}
+
+    def value(n: int, a: int) -> int:
+        if (n, a) not in values:
+            values[n, a] = cyclotomic_eval(n, a)
+        return values[n, a]
 
     bad = [
         (n, a)
         for n in range(1, 201)
         for a in range(2, 11)
-        if _divisor_product(n, a) != a**n - 1
+        if _divisor_product(value, n, a) != a**n - 1
     ]
     report.add("product over divisors rebuilds a^n - 1 (n <= 200)", not bad, [], bad)
 
-    bad = _check_valuation_lift()
+    bad = _check_valuation_lift(value)
     report.add("valuation lift p^v (biconditional and orders)", not bad, [], bad)
 
-    bad = _check_divisor_existence()
+    bad = _check_divisor_existence(value)
     report.add("p | value solvable iff cofactor divides p - 1", not bad, [], bad)
 
     bad = [
@@ -212,18 +220,18 @@ def suite_cyclo_lemmas() -> SuiteReport:
         for p in (2, 3, 5)
         for v in range(0, 4)
         for a in range(1, 21)
-        if (cyclotomic_eval(p**v, a) % p == 0) != ((a - 1) % p == 0)
+        if (value(p**v, a) % p == 0) != ((a - 1) % p == 0)
     ]
     report.add("prime-power index divisibility iff p | a - 1", not bad, [], bad)
 
-    bad = _check_value_gcds()
+    bad = _check_value_gcds(value)
     report.add("pairwise value gcds are 1 or a single prime", not bad, [], bad)
 
     bad = [
         (m, a)
         for a in range(2, 11)
         for m in range(1, 101)
-        if (abs(cyclotomic_eval(m, a)) == 1) != ((m, a) == (1, 2))
+        if (abs(value(m, a)) == 1) != ((m, a) == (1, 2))
     ]
     report.add("unit values occur only at (index, base) = (1, 2)", not bad, [], bad)
 
@@ -232,8 +240,8 @@ def suite_cyclo_lemmas() -> SuiteReport:
         for n in range(2, 101)
         for a in range(2, 11)
         if not (
-            a ** euler_phi(n) <= 2 * cyclotomic_eval(n, a)
-            and cyclotomic_eval(n, a) <= 2 * a ** euler_phi(n)
+            a ** euler_phi(n) <= 2 * value(n, a)
+            and value(n, a) <= 2 * a ** euler_phi(n)
         )
     ]
     report.add("value sits within a factor 2 of a^phi(n)", not bad, [], bad)
@@ -241,7 +249,7 @@ def suite_cyclo_lemmas() -> SuiteReport:
     bad = []
     for n in range(7, 61):
         m = primitive_part(2, 1, n)
-        phi2 = cyclotomic_eval(n, 2)
+        phi2 = value(n, 2)
         if not (m * n >= phi2 and 2 * phi2 >= 2 ** euler_phi(n)):
             bad.append(n)
     report.add("primitive part >= value/n >= 2^phi(n)/(2n)", not bad, [], bad)
@@ -249,16 +257,16 @@ def suite_cyclo_lemmas() -> SuiteReport:
     return report
 
 
-def _divisor_product(n: int, a: int) -> int:
+def _divisor_product(value, n: int, a: int) -> int:
     from .intmath import divisors
 
     prod = 1
     for d in divisors(n):
-        prod *= cyclotomic_eval(d, a)
+        prod *= value(d, a)
     return prod
 
 
-def _check_valuation_lift() -> list:
+def _check_valuation_lift(value) -> list:
     bad = []
     for p in (2, 3, 5):
         for m in range(1, 31):
@@ -267,47 +275,46 @@ def _check_valuation_lift() -> list:
             for v in range(1, 4):
                 idx = m * p**v
                 for a in range(2, 11):
-                    lifted = cyclotomic_eval(idx, a) % p == 0
-                    base = cyclotomic_eval(m, a) % p == 0
+                    lifted = value(idx, a) % p == 0
+                    base = value(m, a) % p == 0
                     if lifted != base:
                         bad.append((p, m, v, a, "biconditional"))
                         continue
                     if not base:
                         continue
                     if idx > 2:
-                        if ord_p(p, cyclotomic_eval(idx, a)) != 1:
+                        if ord_p(p, value(idx, a)) != 1:
                             bad.append((p, m, v, a, "order"))
                     else:  # idx == 2: p = 2, m = v = 1
-                        if ord_p(2, cyclotomic_eval(2, a)) != valuation(2, a + 1):
+                        if ord_p(2, value(2, a)) != valuation(2, a + 1):
                             bad.append((p, m, v, a, "order-2"))
     return bad
 
 
-def _check_divisor_existence() -> list:
+def _check_divisor_existence(value) -> list:
     bad = []
     for p in (3, 5, 7, 11, 13):
         for n in range(1, 61):
             v = valuation(p, n) if n % p == 0 else 0
             m = n // p**v
             exists = any(
-                cyclotomic_eval(n, a) % p == 0 for a in range(1, p * p + 1)
+                value(n, a) % p == 0 for a in range(1, p * p + 1)
             )
             if exists != ((p - 1) % m == 0):
                 bad.append((p, n))
     return bad
 
 
-def _check_value_gcds() -> list:
+def _check_value_gcds(value) -> list:
     from math import gcd as igcd
 
     from .intmath import is_prime
 
     bad = []
     for a in range(2, 9):
-        values = {m: cyclotomic_eval(m, a) for m in range(1, 41)}
         for n in range(1, 41):
             for m in range(n + 1, 41):
-                g = igcd(values[n], values[m])
+                g = igcd(value(n, a), value(m, a))
                 if g == 1:
                     continue
                 if not is_prime(g):
@@ -325,7 +332,7 @@ def _check_value_gcds() -> list:
 # exact bound suite
 
 
-# 10x the default; the two sieves at this limit take about 5 s and 100 MB
+# 10x the default; the suite at this limit takes about 1 s and 110 MB
 BOUNDS_LIMIT_CAP = 1_000_000
 
 
@@ -333,7 +340,7 @@ def suite_bounds(limit: int = 100_000) -> SuiteReport:
     if limit > BOUNDS_LIMIT_CAP:
         raise SizeCapExceeded(f"bounds limit {limit} exceeds the cap {BOUNDS_LIMIT_CAP}")
     report = SuiteReport("bounds")
-    sig = sigma_sieve(limit)
+    sig, phi = sigma_phi_sieve(limit)
     # (sigma(n)/n)^4 < (32/25)^4 * n, cross-multiplied in integers
     bad_h = [
         n
@@ -346,7 +353,6 @@ def suite_bounds(limit: int = 100_000) -> SuiteReport:
         [],
         bad_h,
     )
-    phi = phi_sieve(limit)
     c4: dict[int, tuple[int, int]] = {}  # ord2(n) -> c(n)^4 as (num, den)
     bad_phi = []
     for n in range(2, limit + 1):

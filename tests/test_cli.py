@@ -8,7 +8,7 @@ import time
 import pytest
 
 from lehmer_ff import partitions_of
-from lehmer_ff.cli import dump_json, run
+from lehmer_ff.cli import build_parser, dump_json, run
 
 
 def run_cli(capsys, *argv):
@@ -326,3 +326,53 @@ def test_workers_flag_overrides_env(capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once_across_runs(capsys):
+    build_parser.cache_clear()
+    for argv in (
+        ["candidates", "--n-max", "30"],
+        ["cyclotomic", "--n", "12", "--eval", "2"],
+        ["totient", "x", "--nope"],
+        ["partitions", "--a", "3", "--n-max", "6"],
+    ) * 5:
+        run(argv)
+    capsys.readouterr()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("totient", "x^4+x", "--q", "2"),
+        ("zsigmondy", "--a", "2", "--n", "6", "--format", "csv"),
+        ("verify", "--suite", "prop31", "--format", "json"),
+        ("totient", "x^2+x"),  # usage error from the command
+        ("cyclotomic", "--n"),  # usage error from argparse
+    ],
+)
+def test_same_argv_gives_identical_results(capsys, argv):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    argv = ("partitions", "--a", "4", "--n-max", "6", "--format", "json")
+    first = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "partitions", "--a", "4", "--n-max", "x")
+    assert code == 2 and out == "" and "invalid int value" in err
+    assert run_cli(capsys, *argv) == first
+
+
+def test_options_do_not_leak_into_the_next_call(capsys):
+    argv = ["verify", "--suite", "prop36"]
+    run_cli(capsys, *argv, "--n-max", "12", "--format", "csv")
+    after = run_cli(capsys, *argv)
+    reused = vars(build_parser().parse_args(argv))
+    build_parser.cache_clear()
+    assert run_cli(capsys, *argv) == after
+    assert vars(build_parser().parse_args(argv)) == reused
+    assert "n <= 30" in after[1]  # the default n_max, not the 12 before

@@ -18,7 +18,17 @@ from lehmer_ff import (
     zsigmondy,
 )
 from lehmer_ff.cyclo import _first_dividing_index, cyclotomic_eval_pair
-from lehmer_ff.intmath import divisors, euler_phi, factorize, is_prime, mobius_divisors
+from lehmer_ff.intmath import (
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    mobius_divisors,
+    phi_sieve,
+    sigma,
+    sigma_phi_sieve,
+    sigma_sieve,
+)
 
 
 def test_mobius_divisors_match_the_definition():
@@ -38,6 +48,17 @@ def test_mobius_divisors_match_the_definition():
         expected = {d: mu(n // d) for d in range(1, n + 1) if n % d == 0}
         assert len(terms) == len(dict(terms)), n
         assert dict(terms) == {d: m for d, m in expected.items() if m}, n
+
+
+def test_sigma_phi_sieve_matches_factoring():
+    for limit in (0, 1, 2, 3, 16, 17):
+        sig, phi = sigma_phi_sieve(limit)
+        assert sig == [0] + [sigma(n) for n in range(1, limit + 1)], limit
+        assert phi == [0] + [euler_phi(n) for n in range(1, limit + 1)], limit
+    limit = 5000
+    sig, phi = sigma_phi_sieve(limit)
+    assert sig == sigma_sieve(limit) == [0] + [sigma(n) for n in range(1, limit + 1)]
+    assert phi == phi_sieve(limit) == [0] + [euler_phi(n) for n in range(1, limit + 1)]
 
 
 def test_cyclotomic_known_polynomials():

@@ -21,7 +21,10 @@ from lehmer_ff.ffield import (
     _element_parse,
     _element_str,
     _fp_mul,
+    _fp_powmod,
     _fp_rem,
+    _generator,
+    _powers,
     field_from_order,
 )
 from lehmer_ff.intmath import is_prime
@@ -293,3 +296,35 @@ def test_ops_match_digit_vector_reference(p, k):
         assert spec.neg(a) == neg(a)
         if a:
             assert mul(a, spec.inv(a)) == 1
+
+
+# the whole exp table of the small fields; every 331st power of the two
+# largest, whose reference powers cost a square-and-multiply each
+POWERS_FULL = [(2, 2), (3, 2), (2, 8), (2, 12)]
+POWERS_STRIDED = [(3, 10), (2, 16)]
+
+
+@pytest.mark.parametrize("p,k", POWERS_FULL + POWERS_STRIDED)
+def test_exp_and_log_tables_match_the_polynomial_route(p, k):
+    spec = field_make(p, k)
+    modulus, n = spec.modulus, spec.q - 1
+    g = _generator(p, k, modulus)
+    exp = _powers(g, modulus, p, n)
+
+    def encode(v):
+        return sum(c * p**i for i, c in enumerate(v))
+
+    if (p, k) in POWERS_FULL:
+        cur, expected = [1], []
+        for _ in range(n):
+            expected.append(encode(cur))
+            cur = _fp_rem(_fp_mul(cur, g, p), modulus, p)
+        assert exp == expected
+    else:
+        sample = range(0, n, 331)
+        expected = [encode(_fp_powmod(g, i, modulus, p)) for i in sample]
+        assert [exp[i] for i in sample] == expected
+    # spec.mul(a, b) is exp[log(a) + log(b)], so this pins log as the
+    # inverse of exp at every power
+    g_enc = encode(g)
+    assert all(spec.mul(g_enc, exp[i]) == exp[(i + 1) % n] for i in range(n))

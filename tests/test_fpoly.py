@@ -446,6 +446,18 @@ def test_poly_text_roundtrip_random(f2, f3, f4, f9):
             assert parse_poly(spec, str(f)) == f
 
 
+@pytest.mark.parametrize("q", [256, 257, 4096, 59049, 65521, 65536])
+def test_poly_text_roundtrip_large_fields(q):
+    spec = field_from_order(q)
+    rng = random.Random(RNG_SEED * 1009 + q)
+    for _ in range(50):
+        f = random_poly(rng, spec, 8)
+        # sparse and unit coefficients print differently from dense ones
+        g = Poly(spec, [rng.choice((0, 1, q - 1, c)) for c in f.cv] + [1])
+        for h in (f, g):
+            assert parse_poly(spec, str(h)) == h
+
+
 def test_poly_text_examples(f2, f4):
     assert str(P(f2, "x^3+x+1")) == "x^3+x+1"
     f = P(f4, "(t+1)*x^2+t*x+1")
