@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from .cyclo import DEFAULT_FACTORING_BUDGET, cyclotomic, cyclotomic_eval, zsigmondy
@@ -36,7 +35,7 @@ from .lehmer_search import (
     mersenne_divisibility,
     partitions_of,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, SUITES, run_suite
 from .totient import lehmer_set, totient_report
 
 EXIT_OK = 0
@@ -45,19 +44,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 FORMATS = ("text", "json", "csv")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("LEHMER_FF_WORKERS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise LehmerFFError(f"LEHMER_FF_WORKERS must be an integer, got {raw!r}")
-    if value < 1:
-        raise LehmerFFError("LEHMER_FF_WORKERS must be >= 1")
-    return value
 
 
 @functools.cache
@@ -80,6 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="text")
 
+    def add_workers(p):
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="accepted and ignored: every sweep runs in one process",
+        )
+
     def add_field(p):
         p.add_argument("--q", type=int, help="field size (prime power)")
         p.add_argument("--p", type=int, help="field characteristic")
@@ -94,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--expand-units", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    add_workers(p)
     add_format(p)
 
     p = sub.add_parser("cyclotomic", help="cyclotomic polynomial (and value)")
@@ -125,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--a-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    add_workers(p)
     add_format(p)
 
     return parser
@@ -195,9 +187,8 @@ def _cmd_totient(args) -> int:
 
 def _cmd_lehmer(args) -> int:
     spec = _field_from_args(args)
-    workers = args.workers if args.workers is not None else _default_workers()
     hits = lehmer_set(
-        spec, args.max_degree, expand_units=args.expand_units, workers=workers
+        spec, args.max_degree, expand_units=args.expand_units, workers=args.workers
     )
     print(
         f"q={spec.q}: {len(hits)} polynomial(s) with totient dividing "
@@ -311,15 +302,15 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    report = run_suite(
-        args.suite,
-        q=args.q,
-        max_degree=args.max_degree,
-        n_max=args.n_max,
-        a_max=args.a_max,
-        workers=workers,
-    )
+    if args.workers < 1:
+        raise LehmerFFError("workers must be >= 1")
+    options = {key: getattr(args, key) for key in ("q", "max_degree", "n_max", "a_max")}
+    reads = SUITES[args.suite][1]
+    unread = [key for key, v in options.items() if v is not None and key not in reads]
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise LehmerFFError(f"suite {args.suite} does not read {flags}")
+    report = run_suite(args.suite, **options)
     if args.format == "json":
         print(dump_json(report.as_payload()))
     elif args.format == "csv":

@@ -20,7 +20,9 @@ deterministic: the factorization is canonical and the splitting draws
 from a fixed seed.
 Trial division by a root scan and the sieve of monic irreducibles of
 degree <= deg/2 is kept as the oracle ``factor_bruteforce``; the sieve
-itself serves ``irreducibles`` and that oracle only.
+itself serves ``irreducibles`` and that oracle only.  It marks composites
+with ``_monic_multiples``, the walk over the monic multiples of one
+polynomial that the phi sieve in ``totient`` also runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import xor
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -396,8 +400,8 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-# (field, degree) sieves kept: a `sweep` session touches 4, and
-# `verify --suite main-theorem` 16
+# (field, degree) sieves kept: a `sweep` session and `verify --suite
+# main-theorem` each touch the same 4, F_2 to degree 3 and F_3 degree 1
 _SIEVE_CACHE_SIZE = 32
 
 
@@ -407,18 +411,51 @@ def _irreducible_cvs(p: int, k: int, d: int) -> tuple:
     over F_{p^k}; keyed by (p, k), so the cache holds no field."""
     spec = field_make(p, k)
     q = spec.q
-    if d == 1:
-        return tuple((c, 1) for c in range(q))
-    qd = q**d
-    composite = bytearray(qd)
+    composite = bytearray(q**d)
     for d1 in range(1, d // 2 + 1):
-        cof = q ** (d - d1)
         for pcv in _irreducible_cvs(p, k, d1):
-            for gcode in range(cof):
-                gcv = _decode_monic(q, gcode, d - d1)
-                prod = _mul_cv(spec, pcv, gcv)
-                composite[_encode_cv(spec, prod) - qd] = 1
-    return tuple(_decode_monic(q, m, d) for m in range(qd) if not composite[m])
+            for r in _monic_multiples(spec, pcv, d - d1):
+                composite[r] = 1
+    return tuple(_decode_monic(q, r, d) for r in range(q**d) if not composite[r])
+
+
+def _monic_multiples(spec: FieldSpec, pcv, m: int) -> Iterator[int]:
+    """Offsets code - q^(d + m) of the products P * g, for P = pcv monic of
+    degree d and every monic g of degree m, each product once.
+
+    An odometer runs over the m * k F_p-digits of g below x^m (digit
+    j * k + l is the t^l part of the x^j coefficient) in a p-ary Gray
+    order: step i adds 1 to the digit at the p-adic valuation of i, so the
+    product changes by the precomputed vector t^l * x^j * P, and a digit's
+    p-th add wraps it back to 0.  Codes add by ``xor`` when p = 2, so a
+    step is one ``xor``; for odd p it is d + 1 coefficient adds.
+    """
+    q, p, k = spec.q, spec.p, spec.k
+    d = len(pcv) - 1
+    ruler = b""  # the p-adic valuations of 1, ..., p^(m * k) - 1
+    for digit in range(m * k):
+        ruler = (ruler + bytes((digit,))) * (p - 1) + ruler
+    tps = [[spec.mul(p**l, c) for c in pcv] for l in range(k)]  # t^l * P
+    r = (_encode_cv(spec, pcv) - q**d) * q**m  # x^m * P
+    if p == 2:
+        vecs = [_encode_cv(spec, tps[l]) * q**j for j in range(m) for l in range(k)]
+        yield from accumulate(map(vecs.__getitem__, ruler), xor, initial=r)
+        return
+    add = spec.add
+    cv = [0] * m + list(pcv)
+    steps = [
+        [(j + i, w, q ** (j + i)) for i, w in enumerate(tps[l]) if w]
+        for j in range(m)
+        for l in range(k)
+    ]
+    yield r
+    for t in ruler:
+        for pos, w, weight in steps[t]:
+            old = cv[pos]
+            new = add(old, w)
+            cv[pos] = new
+            r += (new - old) * weight
+        yield r
 
 
 def _decode_monic(q: int, code: int, degree: int):
@@ -594,37 +631,14 @@ def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
     return out
 
 
-def enumerate_polys(
-    spec: FieldSpec,
-    n: int,
-    monic_only: bool = True,
-    part: tuple[int, int] | None = None,
-) -> Iterator[Poly]:
-    """Every polynomial of exact degree n, in encoding order.
-
-    With ``part=(i, m)`` only the i-th of m contiguous encoding blocks is
-    emitted, so independent workers can split a sweep and a sorted merge
-    of all blocks reproduces the full stream.
-    """
+def enumerate_polys(spec: FieldSpec, n: int, monic_only: bool = True) -> Iterator[Poly]:
+    """Every polynomial of exact degree n, in encoding order."""
     if n < 0:
         raise InvalidInput("degree must be >= 0")
-    lo, hi = _code_span(spec.q, n, monic_only)
-    if part is not None:
-        i, m = part
-        if not (m >= 1 and 0 <= i < m):
-            raise InvalidInput(f"bad stream part {part!r}")
-        width = hi - lo
-        lo, hi = lo + width * i // m, lo + width * (i + 1) // m
     q = spec.q
-    for code in range(lo, hi):
+    lo = q**n
+    for code in range(lo, 2 * lo if monic_only else q * lo):
         yield Poly._raw(spec, _decode_cv(q, code))
-
-
-def _code_span(q: int, n: int, monic_only: bool) -> tuple[int, int]:
-    if n == 0:
-        return (1, 2) if monic_only else (1, q)
-    qn = q**n
-    return (qn, 2 * qn) if monic_only else (qn, qn * q)
 
 
 # ---------------------------------------------------------------------------

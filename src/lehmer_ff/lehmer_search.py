@@ -72,7 +72,7 @@ class Partition:
 
 def partitions_of(n: int, max_part: int | None = None):
     """All partitions of n with s >= 2, in colex order (largest part last,
-    ascending), so streams shard deterministically by largest part."""
+    ascending)."""
     if n < 2:
         return
     top = n - 1 if max_part is None else min(max_part, n - 1)

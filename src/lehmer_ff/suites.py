@@ -35,15 +35,6 @@ from .totient import (
     totient_bruteforce,
 )
 
-SUITE_NAMES = (
-    "main-theorem",
-    "prop31",
-    "prop36",
-    "cyclo-lemmas",
-    "bounds",
-    "oracle",
-)
-
 # the coarse candidate-degree list as stated; the coarse inequality also
 # admits 28 and 36 (margins ~1.202 and ~0.427, the same at 35 and 60
 # digits), both of which the refined filter rejects
@@ -135,14 +126,16 @@ def expected_lehmer_monic(spec: FieldSpec) -> set[Poly]:
 
 
 def suite_main_theorem(
-    q: int | None = None, max_degree: int | None = None, workers: int = 1
+    q: int | None = None, max_degree: int | None = None
 ) -> SuiteReport:
     report = SuiteReport("main-theorem")
     orders = [q] if q is not None else [2, 3, 4, 5]
     for order in orders:
         spec = field_from_order(order)
-        bound = max_degree or DEFAULT_SWEEP_DEGREE.get(order, FALLBACK_SWEEP_DEGREE)
-        hits = lehmer_set_bruteforce(spec, bound, workers=workers)
+        bound = max_degree
+        if bound is None:
+            bound = DEFAULT_SWEEP_DEGREE.get(order, FALLBACK_SWEEP_DEGREE)
+        hits = lehmer_set_bruteforce(spec, bound)
         expected = expected_lehmer_monic(spec)
         report.add_diff(
             f"q={order} monic sweep to degree {bound}",
@@ -336,26 +329,26 @@ def _check_value_gcds(value) -> list:
 BOUNDS_LIMIT_CAP = 1_000_000
 
 
-def suite_bounds(limit: int = 100_000) -> SuiteReport:
-    if limit > BOUNDS_LIMIT_CAP:
-        raise SizeCapExceeded(f"bounds limit {limit} exceeds the cap {BOUNDS_LIMIT_CAP}")
+def suite_bounds(n_max: int = 100_000) -> SuiteReport:
+    if n_max > BOUNDS_LIMIT_CAP:
+        raise SizeCapExceeded(f"bounds limit {n_max} exceeds the cap {BOUNDS_LIMIT_CAP}")
     report = SuiteReport("bounds")
-    sig, phi = sigma_phi_sieve(limit)
+    sig, phi = sigma_phi_sieve(n_max)
     # (sigma(n)/n)^4 < (32/25)^4 * n, cross-multiplied in integers
     bad_h = [
         n
-        for n in range(1, limit + 1)
+        for n in range(1, n_max + 1)
         if sig[n] ** 4 * 390625 >= 1048576 * n**5
     ]
     report.add(
-        f"abundancy bound sigma(n)/n < 1.28*n^(1/4) for n <= {limit}",
+        f"abundancy bound sigma(n)/n < 1.28*n^(1/4) for n <= {n_max}",
         not bad_h,
         [],
         bad_h,
     )
     c4: dict[int, tuple[int, int]] = {}  # ord2(n) -> c(n)^4 as (num, den)
     bad_phi = []
-    for n in range(2, limit + 1):
+    for n in range(2, n_max + 1):
         v = ord2(n)
         if v not in c4:
             c = c_factor(n)
@@ -364,7 +357,7 @@ def suite_bounds(limit: int = 100_000) -> SuiteReport:
         if phi[n] ** 4 * den4 <= num4 * n**3:
             bad_phi.append(n)
     report.add(
-        f"totient bound phi(n) > c(n)*n^(3/4) for 2 <= n <= {limit}",
+        f"totient bound phi(n) > c(n)*n^(3/4) for 2 <= n <= {n_max}",
         not bad_phi,
         [],
         bad_phi,
@@ -480,22 +473,26 @@ def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:
-    if name == "main-theorem":
-        return suite_main_theorem(
-            q=kwargs.get("q"),
-            max_degree=kwargs.get("max_degree"),
-            workers=kwargs.get("workers", 1),
-        )
-    if name == "prop31":
-        return suite_prop31(
-            a_max=kwargs.get("a_max") or 8, n_max=kwargs.get("n_max") or 10
-        )
-    if name == "prop36":
-        return suite_prop36(n_max=kwargs.get("n_max") or 30)
-    if name == "cyclo-lemmas":
-        return suite_cyclo_lemmas()
-    if name == "bounds":
-        return suite_bounds(limit=kwargs.get("n_max") or 100_000)
-    if name == "oracle":
-        return suite_oracle()
-    raise InvalidInput(f"unknown suite {name!r}")
+    """Run a suite by name.  An option left out or None takes the suite's
+    default, and every option given must be >= 1; keywords the suite does
+    not read (``workers`` among them) are ignored."""
+    if name not in SUITES:
+        raise InvalidInput(f"unknown suite {name!r}")
+    suite, reads = SUITES[name]
+    opts = {key: kwargs[key] for key in reads if kwargs.get(key) is not None}
+    for key, value in opts.items():
+        if value < 1:
+            raise InvalidInput(f"{key} must be >= 1, got {value}")
+    return suite(**opts)
+
+
+# every suite, with the run_suite options it reads
+SUITES = {
+    "main-theorem": (suite_main_theorem, ("q", "max_degree")),
+    "prop31": (suite_prop31, ("a_max", "n_max")),
+    "prop36": (suite_prop36, ("n_max",)),
+    "cyclo-lemmas": (suite_cyclo_lemmas, ()),
+    "bounds": (suite_bounds, ("n_max",)),
+    "oracle": (suite_oracle, ()),
+}
+SUITE_NAMES = tuple(SUITES)

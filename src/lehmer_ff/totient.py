@@ -15,32 +15,31 @@ g has the same gcd with f).
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
 from ``lehmer_search.lehmer_partitions``, the search for the partition
 condition prod(q^{e_i} - 1) | q^n - 1, and multiplies out the passing
-ones; ``lehmer_set_bruteforce`` factors every monic f by trial division
-(``fpoly.factor_bruteforce``) instead and is its independent oracle.
-Both check known structural facts about the hits (squarefreeness,
-factor-degree divisibility, a lower bound on the number of distinct
-factors) on the result as a guard.
+ones.  ``lehmer_set_bruteforce`` is its independent oracle: a sieve of
+Eratosthenes over the monic encodings computes phi(q, f) for every monic
+f in range, with no factoring and no partition search.  Both check known
+structural facts about the hits (squarefreeness, factor-degree
+divisibility, a lower bound on the number of distinct factors) on the
+result as a guard, by trial division (``fpoly.factor_bruteforce``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import prod
 
 from .errors import InvalidInput, OracleOverflow, VerificationError
-from .ffield import FieldSpec, field_make
+from .ffield import FieldSpec
 from .fpoly import (
     Factorization,
     Poly,
-    _code_span,
-    _decode_cv,
     _decode_monic,
     _factor_cv,
-    _factor_cv_bruteforce,
     _gcd_cv,
+    _monic_multiples,
     factor,
     factor_bruteforce,
     irreducible_count,
@@ -170,13 +169,15 @@ def lehmer_set(
     Each shape of :func:`lehmer_shapes` is realised as every product of
     distinct monic irreducibles of its degrees, so only the degrees in a
     passing shape need an irreducible sieve.
-    ``workers`` is validated and otherwise unused; it shards only
-    :func:`lehmer_set_bruteforce`.
+    ``workers`` is validated and otherwise ignored: the sweep runs in one
+    process.
 
     Monic representatives by default; with ``expand_units`` every monic
     hit is multiplied by every unit.  Sorted by (degree, encoding).
     """
-    _check_sweep_args(max_degree, workers)
+    _check_max_degree(max_degree)
+    if workers < 1:
+        raise InvalidInput("workers must be >= 1")
     hits: list[Poly] = []
     for n in range(2, max_degree + 1):
         for parts in lehmer_shapes(spec.q, n):
@@ -192,20 +193,17 @@ def lehmer_set(
 
 
 def lehmer_set_bruteforce(
-    spec: FieldSpec,
-    max_degree: int,
-    expand_units: bool = False,
-    workers: int = 1,
+    spec: FieldSpec, max_degree: int, expand_units: bool = False
 ) -> list[Poly]:
-    """:func:`lehmer_set` by trial-dividing every monic polynomial in range.
+    """:func:`lehmer_set` by computing phi(q, f) for every monic f in range
+    with :func:`_phi_sieve` and keeping the reducible f whose phi divides
+    q^deg(f) - 1 (a reducible f never has phi = q^deg(f) - 1).
 
     Exponential by design; the independent oracle for :func:`lehmer_set`.
-    Each degree's encoding range is split into ``workers`` contiguous
-    blocks scanned in separate processes and merged in block order, so
-    the result does not depend on the worker count.  Raises
-    OracleOverflow if the scan would exceed ``ORACLE_CAP`` polynomials.
+    Raises OracleOverflow if the sieve would exceed ``ORACLE_CAP``
+    polynomials.
     """
-    _check_sweep_args(max_degree, workers)
+    _check_max_degree(max_degree)
     q = spec.q
     scanned = sum(q**n for n in range(1, max_degree + 1))
     if scanned > ORACLE_CAP:
@@ -214,18 +212,46 @@ def lehmer_set_bruteforce(
             f"{max_degree} exceeds the oracle cap {ORACLE_CAP}"
         )
     hits: list[Poly] = []
+    phi = _phi_sieve(spec, max_degree)
     for n in range(1, max_degree + 1):
-        lo, hi = _code_span(q, n, monic_only=True)
-        for code in _scan_codes(spec, n, lo, hi, workers):
-            hits.append(Poly._raw(spec, _decode_cv(q, code)))
+        mod_value = q**n - 1
+        for r, v in enumerate(phi[n]):
+            if v != mod_value and mod_value % v == 0:
+                hits.append(Poly._raw(spec, _decode_monic(q, r, n)))
     return _finish(spec, hits, expand_units)
 
 
-def _check_sweep_args(max_degree: int, workers: int) -> None:
+def _phi_sieve(spec: FieldSpec, max_degree: int) -> list[array]:
+    """phi[n][r] = phi(q, f) for the monic f of degree n <= max_degree
+    with encoding q^n + r (phi[0] holds f = 1).
+
+    Every entry starts at q^n.  Degrees are walked upwards; an entry of
+    degree d still at q^d has no factor of lower degree, so it is an
+    irreducible P: it gets q^d - 1, and every monic multiple of P of
+    higher degree loses the share 1/q^d of its phi.  Exact, because
+    phi = q^n * prod(1 - q^(-d_i)) over the distinct irreducible factors.
+    """
+    q = spec.q
+    phi = [array("L", [q**n]) * q**n for n in range(max_degree + 1)]
+    for d in range(1, max_degree + 1):
+        qd = q**d
+        row = phi[d]
+        for r in range(qd):
+            if row[r] != qd:
+                continue
+            row[r] = qd - 1
+            pcv = _decode_monic(q, r, d)
+            for m in range(1, max_degree - d + 1):
+                multiples = phi[d + m]
+                for s in _monic_multiples(spec, pcv, m):
+                    v = multiples[s]
+                    multiples[s] = v - v // qd
+    return phi
+
+
+def _check_max_degree(max_degree: int) -> None:
     if max_degree < 1:
         raise InvalidInput("max_degree must be >= 1")
-    if workers < 1:
-        raise InvalidInput("workers must be >= 1")
 
 
 def _finish(spec: FieldSpec, hits: list[Poly], expand_units: bool) -> list[Poly]:
@@ -237,37 +263,6 @@ def _finish(spec: FieldSpec, hits: list[Poly], expand_units: bool) -> list[Poly]
         expanded = [f * u for f in hits for u in spec.units()]
         expanded.sort(key=Poly.sort_key)
         return expanded
-    return hits
-
-
-def _scan_codes(spec: FieldSpec, n: int, lo: int, hi: int, workers: int) -> list[int]:
-    if workers == 1 or hi - lo < 4 * workers:
-        return _sweep_block(spec.p, spec.k, n, lo, hi)
-    bounds = [lo + (hi - lo) * i // workers for i in range(workers + 1)]
-    args = [
-        (spec.p, spec.k, n, bounds[i], bounds[i + 1]) for i in range(workers)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_sweep_block_args, args))
-    return [code for chunk in chunks for code in chunk]
-
-
-def _sweep_block_args(args) -> list[int]:
-    return _sweep_block(*args)
-
-
-def _sweep_block(p: int, k: int, n: int, lo: int, hi: int) -> list[int]:
-    """Hit encodings among monic degree-n polynomials in [lo, hi)."""
-    spec = field_make(p, k)
-    q = spec.q
-    mod_value = q**n - 1
-    hits = []
-    for code in range(lo, hi):
-        parts = _factor_cv_bruteforce(spec, _decode_cv(q, code))
-        if len(parts) == 1 and parts[0][1] == 1:
-            continue  # irreducible
-        if mod_value % _phi_from_parts(q, parts) == 0:
-            hits.append(code)
     return hits
 
 

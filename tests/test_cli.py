@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from lehmer_ff import partitions_of
+from lehmer_ff import InvalidInput, partitions_of
 from lehmer_ff.cli import build_parser, dump_json, run
+from lehmer_ff.suites import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -307,21 +308,78 @@ def test_verify_json_roundtrip(capsys):
     assert dump_json(json.loads(out)) == out.rstrip("\n")
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("LEHMER_FF_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "lehmer", "--q", "2", "--max-degree", "5")
+# the benchmark's sweep passes --workers 1; the flag is accepted and ignored
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lehmer", "--q", "2", "--max-degree", "6", "--workers", "1", "--format", "json"),
+        ("verify", "--suite", "oracle", "--workers", "1", "--format", "json"),
+    ],
+)
+def test_benchmark_argv_runs_as_without_workers(capsys, argv):
+    i = argv.index("--workers")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    monkeypatch.setenv("LEHMER_FF_WORKERS", "zero")
-    code, _, err = run_cli(capsys, "lehmer", "--q", "2", "--max-degree", "5")
-    assert code == 2 and "LEHMER_FF_WORKERS" in err
+    assert (code, out) == run_cli(capsys, *argv[:i], *argv[i + 2:])[:2]
 
 
-def test_workers_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("LEHMER_FF_WORKERS", "junk")
-    code, _, _ = run_cli(
-        capsys, "lehmer", "--q", "2", "--max-degree", "4", "--workers", "1"
-    )
-    assert code == 0
+@pytest.mark.parametrize("command", [("lehmer", "--q", "2", "--max-degree", "4")] + [
+    ("verify", "--suite", name) for name in SUITE_NAMES
+])
+def test_workers_below_one_is_a_usage_error(capsys, command):
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(capsys, *command, "--workers", workers)
+        assert code == 2 and out == "" and "workers must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("main-theorem", "--q", "2", "--max-degree", "0"),
+        ("main-theorem", "--q", "2", "--max-degree", "-1"),
+        ("prop31", "--n-max", "0"),
+        ("prop31", "--a-max", "0"),
+        ("prop31", "--a-max", "-3"),
+        ("prop36", "--n-max", "0"),
+        ("prop36", "--n-max", "-1"),
+        ("bounds", "--n-max", "0"),
+    ],
+)
+def test_verify_rejects_nonpositive_options(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+    assert code == 2 and out == "" and "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (("cyclo-lemmas", "--n-max", "5"), "--n-max"),
+        (("oracle", "--q", "2"), "--q"),
+        (("main-theorem", "--q", "2", "--n-max", "5", "--a-max", "3"), "--n-max, --a-max"),
+        (("prop31", "--max-degree", "4"), "--max-degree"),
+        (("prop36", "--a-max", "4", "--n-max", "12"), "--a-max"),
+        (("bounds", "--q", "3", "--n-max", "100"), "--q"),
+    ],
+)
+def test_verify_rejects_options_the_suite_does_not_read(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: suite {argv[0]} does not read {flags}\n"
+
+
+def test_run_suite_defaults_only_missing_options():
+    from lehmer_ff.suites import run_suite
+
+    # bench/probe.py passes workers= to every suite
+    for name, opts in (("prop36", {"n_max": 12}), ("cyclo-lemmas", {})):
+        with_workers = run_suite(name, workers=1, **opts).as_payload()
+        assert with_workers == run_suite(name, **opts).as_payload()
+    default = run_suite("prop36", n_max=None).as_payload()
+    assert default == run_suite("prop36", n_max=30).as_payload()
+    with pytest.raises(InvalidInput):
+        run_suite("prop36", n_max=0)
+    with pytest.raises(InvalidInput):
+        run_suite("main-theorem", q=2, max_degree=0)
 
 
 def test_help_exits_zero(capsys):

@@ -413,21 +413,6 @@ def test_enumerate_is_sorted_and_exact_degree(f3):
     assert encs == sorted(encs)
 
 
-def test_enumerate_parts_cover_stream(f5):
-    whole = [f.encoding() for f in enumerate_polys(f5, 3, monic_only=True)]
-    pieces = []
-    for i in range(4):
-        pieces.extend(
-            f.encoding() for f in enumerate_polys(f5, 3, monic_only=True, part=(i, 4))
-        )
-    assert pieces == whole
-
-
-def test_enumerate_bad_part(f2):
-    with pytest.raises(InvalidInput):
-        list(enumerate_polys(f2, 1, part=(2, 2)))
-
-
 # -- degree sentinel and text -------------------------------------------------
 
 

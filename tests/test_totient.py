@@ -99,6 +99,30 @@ def test_oracle_equivalence_exhaustive(q, max_deg, f2, f3, f4):
             assert totient(f) == totient_bruteforce(f), str(f)
 
 
+def sieved(q, max_deg):
+    """(f, phi from the sieve) for every monic f of degree 1..max_deg."""
+    spec = field_from_order(q)
+    phi = totient_module._phi_sieve(spec, max_deg)
+    for n in range(1, max_deg + 1):
+        row = phi[n]
+        assert len(row) == q**n
+        yield from zip(enumerate_polys(spec, n, monic_only=True), row)
+
+
+# irreducibles included: their phi is q^n - 1, which no hit has
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (4, 4)])
+def test_phi_sieve_equals_the_residue_count(q, max_deg):
+    for f, phi in sieved(q, max_deg):
+        assert phi == totient_bruteforce(f), str(f)
+
+
+# F_9 runs the odd-extension walk, whose adds go through Zech tables
+@pytest.mark.parametrize("q,max_deg", [(2, 12), (4, 5), (9, 3)])
+def test_phi_sieve_equals_the_factored_totient(q, max_deg):
+    for f, phi in sieved(q, max_deg):
+        assert phi == totient(f), str(f)
+
+
 def coprime_residue_count(f):
     """The literal definition: every nonzero g with deg(g) < deg(f)."""
     one = Poly.one(f.spec)
@@ -218,11 +242,6 @@ def test_lehmer_set_matches_per_poly_filter(f3):
     assert swept == direct
 
 
-def test_lehmer_set_workers_merge_deterministically(f3):
-    # the sharded scan serves only the oracle now
-    assert lehmer_set_bruteforce(f3, 6, workers=2) == lehmer_set_bruteforce(f3, 6)
-
-
 @pytest.mark.parametrize("q,max_deg", [(2, 12), (3, 8), (4, 7), (5, 7)])
 def test_lehmer_set_equals_bruteforce_oracle(q, max_deg, lehmer_sets):
     assert lehmer_set(field_from_order(q), max_deg) == lehmer_sets[q]
@@ -256,8 +275,8 @@ def test_lehmer_set_validates_arguments(f2):
     for sweep in (lehmer_set, lehmer_set_bruteforce):
         with pytest.raises(InvalidInput):
             sweep(f2, 0)
-        with pytest.raises(InvalidInput):
-            sweep(f2, 4, workers=0)
+    with pytest.raises(InvalidInput):
+        lehmer_set(f2, 4, workers=0)
 
 
 def test_lehmer_set_bruteforce_cap(f2, monkeypatch):
