@@ -20,6 +20,7 @@ import sys
 
 from .cyclo import DEFAULT_FACTORING_BUDGET, cyclotomic, cyclotomic_eval, zsigmondy
 from .errors import (
+    InvalidInput,
     LehmerFFError,
     PrecisionAlert,
     RESOURCE_ERRORS,
@@ -251,6 +252,10 @@ def _cmd_zsigmondy(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    if args.a < 2:
+        raise InvalidInput("--a must be >= 2")
+    if args.n_max < 2:
+        raise InvalidInput("--n-max must be >= 2")
     records = []
     for n in range(2, args.n_max + 1):
         if args.all:

@@ -20,17 +20,19 @@ rational consistency check.
 narrows the a = 2 search: the coarse form uses the abundancy majorant
 1.28 * n^(1/4) against c(n) * log2 * n^(3/4) - log(2n); the refined
 form uses the exact abundancy h(n) against phi(n) * log2 - log(2n).
-Comparisons run at >= 30 significant digits and any margin below 1e-6
-raises PrecisionAlert rather than deciding silently.
+Each margin (left minus right side) is enclosed between two integers at
+scale 2^B, B a few bits above the requested >= 30 decimal digits: logs
+from floored atanh series with a bounded remainder, fourth roots from
+nested integer square roots, rationals rounded outward.  No floating
+point decides a comparison; an enclosure that reaches within 1e-6 of
+zero raises PrecisionAlert rather than deciding silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import mpmath
+from math import ceil, floor, gcd, isqrt
 
 from .cyclo import cyclotomic_eval
 from .errors import InvalidInput, PrecisionAlert
@@ -38,6 +40,9 @@ from .intmath import divisors, euler_phi, ord2, sigma
 
 PRECISION_GAP = Fraction(1, 10**6)
 MIN_CANDIDATE_DPS = 30
+# bits of 2^B beyond the dps digits, so every log and root enclosure is
+# narrower than 10^-(dps - 3) up to n = 2000
+GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,69 @@ def c_factor(n: int) -> Fraction:
     return Fraction(1)
 
 
-def candidate_degrees(
-    n_max: int, dps: int = 35
-) -> tuple[set[int], set[int]]:
+def _atanh_enclosure(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits * atanh(a/b) <= hi for 0 <= a/b <= 1/3.
+
+    lo sums the floored series terms 2^bits * x^(2j+1) / (2j+1) up to the
+    first that floors to 0.  Each floor loses less than 1, and the tail
+    from that term on is below 1 / (1 - x^2) <= 9/8, so hi = lo + terms + 2.
+    """
+    lo = terms = 0
+    num, den, j = a << bits, b, 1
+    while term := num // (den * j):
+        lo += term
+        terms += 1
+        num, den, j = num * a * a, den * b * b, j + 2
+    return lo, lo + terms + 2
+
+
+def _log_enclosure(m: int, bits: int, log2: tuple[int, int]) -> tuple[int, int]:
+    """Integers lo <= 2^bits * log(m) <= hi for m >= 1, given the same for
+    log 2: log(m) = k*log(2) + 2*atanh((m - 2^k)/(m + 2^k)), 2^k <= m < 2^(k+1)."""
+    k = m.bit_length() - 1
+    lo, hi = _atanh_enclosure(m - (1 << k), m + (1 << k), bits)
+    return k * log2[0] + 2 * lo, k * log2[1] + 2 * hi
+
+
+def _quartic_root_floor(m: int, bits: int) -> int:
+    """floor(2^bits * m^(1/4)), exactly: isqrt of isqrt is the fourth root."""
+    return isqrt(isqrt(m << 4 * bits))
+
+
+def _margins(n_max: int, bits: int):
+    """Yield (n, coarse, refined) for 7 <= n <= n_max: integer pairs
+    (lo, hi) enclosing 2^bits times the left minus the right side of each
+    comparison in ``candidate_degrees``, every rounding outward."""
+    log2 = tuple(2 * v for v in _atanh_enclosure(1, 3, bits))
+    log43 = tuple(2 * v for v in _atanh_enclosure(1, 7, bits))
+    for n in range(7, n_max + 1):
+        delta = 1 - n % 2
+        log2n = _log_enclosure(2 * n, bits, log2)
+        # log4 + d(n)*log(4/3) + log(2n), common to both margins
+        logs = [2 * log2[i] + delta * log43[i] + log2n[i] for i in (0, 1)]
+        # 2^bits * (-1 - d(n)/2 - 1/n)
+        rational = Fraction(-(2 * n + delta * n + 2) << bits, 2 * n)
+        root = _quartic_root_floor(n, bits)
+        root3 = _quartic_root_floor(n**3, bits)
+        # 2^bits * c(n)*log2*n^(3/4) lies in [power_lo, power_hi]
+        c = c_factor(n)
+        den = c.denominator << bits
+        power_lo = Fraction(c.numerator * log2[0] * root3, den)
+        power_hi = Fraction(c.numerator * log2[1] * (root3 + 1), den)
+        coarse = (
+            logs[0] + floor(rational + Fraction(32 * root, 25)) - ceil(power_hi),
+            logs[1] + ceil(rational + Fraction(32 * (root + 1), 25)) - floor(power_lo),
+        )
+        rational += Fraction(sigma(n) << bits, n)
+        phi = euler_phi(n)
+        refined = (
+            logs[0] + floor(rational) - phi * log2[1],
+            logs[1] + ceil(rational) - phi * log2[0],
+        )
+        yield n, coarse, refined
+
+
+def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
     """(coarse, refined) degree sets from the logarithmic bound comparison.
 
     coarse:  log4 + d(n)*log(4/3) - 1 - d(n)/2 - 1/n + 1.28*n^(1/4)
@@ -210,46 +275,26 @@ def candidate_degrees(
     refined: the left side with 1.28*n^(1/4) replaced by h(n), compared
              against phi(n)*log2 - log(2n)
 
-    with d(n) = 1 for even n, else 0.  Raises PrecisionAlert if any
-    comparison is decided by less than 1e-6.
+    with d(n) = 1 for even n, else 0.  Each margin (left minus right) is
+    enclosed in exact integers at scale 2^B, B a few bits above ``dps``
+    decimal digits (at least 30).  A comparison is decided only when the
+    whole enclosure lies outside +-1e-6; otherwise PrecisionAlert is
+    raised.
     """
     if n_max < 7:
         raise InvalidInput("need n_max >= 7")
     if dps < MIN_CANDIDATE_DPS:
         raise InvalidInput(f"need at least {MIN_CANDIDATE_DPS} digits")
-    coarse: set[int] = set()
-    refined: set[int] = set()
-    with mpmath.workdps(dps):
-        log2 = mpmath.log(2)
-        log4 = mpmath.log(4)
-        log43 = mpmath.log(mpmath.mpf(4) / 3)
-        gap = mpmath.mpf(PRECISION_GAP.numerator) / PRECISION_GAP.denominator
-        for n in range(7, n_max + 1):
-            delta = 1 if n % 2 == 0 else 0
-            base = log4 + delta * log43 - 1 - mpmath.mpf(delta) / 2 - mpmath.mpf(1) / n
-            log2n = mpmath.log(2 * n)
-            lhs = base + mpmath.mpf(128) / 100 * mpmath.root(n, 4)
-            c = c_factor(n)
-            rhs = (
-                mpmath.mpf(c.numerator) / c.denominator
-                * log2
-                * mpmath.power(n, mpmath.mpf(3) / 4)
-                - log2n
-            )
-            diff = lhs - rhs
-            if abs(diff) < gap:
-                raise PrecisionAlert(f"coarse comparison marginal at n = {n}")
-            if diff > 0:
-                coarse.add(n)
-            h = abundancy(n)
-            lhs_r = base + mpmath.mpf(h.numerator) / h.denominator
-            rhs_r = euler_phi(n) * log2 - log2n
-            diff_r = lhs_r - rhs_r
-            if abs(diff_r) < gap:
-                raise PrecisionAlert(f"refined comparison marginal at n = {n}")
-            if diff_r > 0:
-                refined.add(n)
-    return coarse, refined
+    bits = (10**dps).bit_length() + GUARD_BITS
+    gap = PRECISION_GAP * (1 << bits)
+    found: dict[str, set[int]] = {"coarse": set(), "refined": set()}
+    for n, *margins in _margins(n_max, bits):
+        for (name, degrees), (lo, hi) in zip(found.items(), margins):
+            if lo >= gap:
+                degrees.add(n)
+            elif hi > -gap:
+                raise PrecisionAlert(f"{name} comparison marginal at n = {n}")
+    return found["coarse"], found["refined"]
 
 
 def prop36_partition_allowed(part: Partition) -> bool:
@@ -269,14 +314,18 @@ def prop36_partition_allowed(part: Partition) -> bool:
 
 def verify_prop36(n_max: int) -> list[tuple[int, Partition]]:
     """Partitions (base a = 2) passing the divisibility test and the
-    multiplicity caps, for every n <= n_max."""
+    multiplicity caps of ``prop36_partition_allowed``, for every
+    n <= n_max: the one search, run with those caps."""
     if n_max < 2:
         raise InvalidInput("need n_max >= 2")
+
+    def cap(d: int) -> int:
+        return 2 if d == 1 else (2**d - 1) // d
+
     return [
         (n, part)
         for n in range(2, n_max + 1)
-        for part in lehmer_partitions(2, n)
-        if prop36_partition_allowed(part)
+        for part in lehmer_partitions(2, n, cap)
     ]
 
 

@@ -136,7 +136,7 @@ def suite_main_theorem(
         if bound is None:
             bound = DEFAULT_SWEEP_DEGREE.get(order, FALLBACK_SWEEP_DEGREE)
         hits = lehmer_set_bruteforce(spec, bound)
-        expected = expected_lehmer_monic(spec)
+        expected = {f for f in expected_lehmer_monic(spec) if f.degree <= bound}
         report.add_diff(
             f"q={order} monic sweep to degree {bound}",
             {str(f) for f in sorted(expected, key=Poly.sort_key)},

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,21 @@ def test_partitions_are_the_passing_rows_of_all_in_order(capsys, a):
     assert json.loads(out_pass)["rows"] == [r for r in rows_all if r["divides"]]
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--a", "3", "--n-max", "0"), "--n-max"),
+        (("--a", "3", "--n-max", "-4"), "--n-max"),
+        (("--a", "1", "--n-max", "1"), "--a"),
+        (("--a", "0", "--n-max", "1"), "--a"),
+    ],
+)
+def test_partitions_rejects_what_it_cannot_search(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "partitions", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be >= 2\n"
+
+
 def test_totient_past_the_field_cap_fails_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "totient", "x+1", "--q", "1000000007")
@@ -221,6 +240,17 @@ def test_verify_main_theorem_small(capsys):
     )
     assert code == 0
     assert "q=3" in out
+
+
+@pytest.mark.parametrize("q,degree", [("2", "1"), ("2", "4"), ("2", "5"), ("3", "1")])
+def test_verify_main_theorem_below_the_classified_degrees(capsys, q, degree):
+    # the classified hits have degrees 2, 4 and 6 (q = 2) and 2 (q = 3);
+    # a sweep that stops short of them expects only those it reaches
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "main-theorem", "--q", q, "--max-degree", degree
+    )
+    assert code == 0
+    assert "FAIL" not in out and out.endswith("suite main-theorem: ok\n")
 
 
 def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
@@ -434,3 +464,35 @@ def test_options_do_not_leak_into_the_next_call(capsys):
     assert run_cli(capsys, *argv) == after
     assert vars(build_parser().parse_args(argv)) == reused
     assert "n <= 30" in after[1]  # the default n_max, not the 12 before
+
+
+# -- no runtime dependency -----------------------------------------------------
+
+# a fresh interpreter: the test process itself imports mpmath as an oracle
+_NO_MPMATH_SCRIPT = """
+import contextlib, io, json, sys
+from lehmer_ff.cli import run
+argvs = (
+    ["candidates", "--n-max", "200"],
+    ["partitions", "--a", "3", "--n-max", "8"],
+    ["verify", "--suite", "bounds", "--n-max", "1000"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def test_cli_runs_without_loading_mpmath():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # bounds exits 1 on the known counterexamples of criterion 10
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 1], "mpmath": False}

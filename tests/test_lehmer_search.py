@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import partial
 
+import mpmath
 import pytest
 
 from lehmer_ff import (
@@ -19,7 +20,15 @@ from lehmer_ff import (
     partitions_of,
     verify_prop36,
 )
-from lehmer_ff.lehmer_search import prop36_partition_allowed
+from lehmer_ff.intmath import euler_phi
+from lehmer_ff.lehmer_search import (
+    GUARD_BITS,
+    _atanh_enclosure,
+    _log_enclosure,
+    _margins,
+    _quartic_root_floor,
+    prop36_partition_allowed,
+)
 from lehmer_ff.suites import (
     divisibility_structure_violations,
     exponent_map_violations,
@@ -224,7 +233,8 @@ def test_candidate_degrees_empty_beyond_54():
 
 
 def test_candidate_degrees_stable_across_precision():
-    assert candidate_degrees(120, dps=30) == candidate_degrees(120, dps=50)
+    at_30 = candidate_degrees(400, dps=30)
+    assert at_30 == candidate_degrees(400) == candidate_degrees(400, dps=50)
 
 
 def test_candidate_degrees_validation():
@@ -241,3 +251,87 @@ def test_marginal_comparison_raises_precision_alert(monkeypatch):
     monkeypatch.setattr(mod, "PRECISION_GAP", Fraction(10))
     with pytest.raises(PrecisionAlert):
         candidate_degrees(20)
+
+
+# -- the integer enclosures behind candidate_degrees --------------------------
+
+
+def _bits(dps):
+    """The scale 2^bits that candidate_degrees works at for ``dps`` digits."""
+    return (10**dps).bit_length() + GUARD_BITS
+
+
+def _mpmath_margins(n):
+    """(coarse, refined): left minus right side of each comparison in the
+    ``candidate_degrees`` docstring, recomputed in mpmath."""
+    delta = 1 - n % 2
+    common = (mpmath.log(4) + delta * mpmath.log(mpmath.mpf(4) / 3) - 1
+              - mpmath.mpf(delta) / 2 - mpmath.mpf(1) / n + mpmath.log(2 * n))
+    c, h = c_factor(n), abundancy(n)
+    coarse = (common + mpmath.mpf(128) / 100 * mpmath.root(n, 4)
+              - mpmath.mpf(c.numerator) / c.denominator * mpmath.log(2)
+              * mpmath.power(n, mpmath.mpf(3) / 4))
+    refined = (common + mpmath.mpf(h.numerator) / h.denominator
+               - euler_phi(n) * mpmath.log(2))
+    return coarse, refined
+
+
+def _unrounded_margins(n, bits):
+    """(coarse, refined) intervals that the component enclosures give in
+    exact rationals, before any rounding: each margin enclosure must
+    contain its interval, or some rounding went inward."""
+    scale = 1 << bits
+    log2 = [2 * v for v in _atanh_enclosure(1, 3, bits)]
+    log43 = [2 * v for v in _atanh_enclosure(1, 7, bits)]
+    log2n = _log_enclosure(2 * n, bits, log2)
+    root, root3 = _quartic_root_floor(n, bits), _quartic_root_floor(n**3, bits)
+    delta = 1 - n % 2
+    rational = -scale * (1 + Fraction(delta, 2) + Fraction(1, n))
+    common = [2 * log2[i] + delta * log43[i] + log2n[i] + rational for i in (0, 1)]
+    c, h, phi = c_factor(n), scale * abundancy(n), euler_phi(n)
+    coarse = (
+        common[0] + Fraction(128, 100) * root - c * log2[1] * (root3 + 1) / scale,
+        common[1] + Fraction(128, 100) * (root + 1) - c * log2[0] * root3 / scale,
+    )
+    refined = (common[0] + h - phi * log2[1], common[1] + h - phi * log2[0])
+    return coarse, refined
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_log_and_root_enclosures_hold_the_true_values(dps):
+    bits = _bits(dps)
+    scale = 1 << bits
+    log2 = tuple(2 * v for v in _atanh_enclosure(1, 3, bits))
+    log43 = tuple(2 * v for v in _atanh_enclosure(1, 7, bits))
+    bad = []
+    with mpmath.workdps(dps + 30):
+        checks = [(log2, mpmath.log(2)), (log43, mpmath.log(mpmath.mpf(4) / 3))]
+        for n in range(1, 2001):
+            root, root3 = _quartic_root_floor(n, bits), _quartic_root_floor(n**3, bits)
+            checks += [
+                (_log_enclosure(2 * n, bits, log2), mpmath.log(2 * n)),
+                ((root, root + 1), mpmath.root(n, 4)),
+                ((root3, root3 + 1), mpmath.power(n, mpmath.mpf(3) / 4)),
+            ]
+        for (lo, hi), value in checks:
+            # inside, and narrower than 10^-(dps - 3)
+            if not (lo <= value * scale <= hi and (hi - lo) * 10 ** (dps - 3) < scale):
+                bad.append((lo, hi, value))
+    assert bad == []
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_margin_enclosures_hold_the_true_margins_rounded_outward(dps):
+    bits = _bits(dps)
+    scale = 1 << bits
+    bad = []
+    with mpmath.workdps(dps + 30):
+        for n, *margins in _margins(400, bits):
+            for (lo, hi), true, (exact_lo, exact_hi) in zip(
+                margins, _mpmath_margins(n), _unrounded_margins(n, bits)
+            ):
+                if not (lo <= exact_lo and exact_hi <= hi
+                        and lo <= true * scale <= hi
+                        and (hi - lo) * 10 ** (dps - 3) < scale):
+                    bad.append(n)
+    assert bad == []
