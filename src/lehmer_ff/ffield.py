@@ -9,7 +9,10 @@ Zech's logarithms; see :class:`FieldSpec`.
 
 The modulus for k > 1 is canonical: the monic irreducible of degree k
 over F_p whose integer encoding is smallest, so two runs (or machines)
-always build the identical field.
+always build the identical field.  The modulus, the generator and the
+text form of an element (a polynomial in t of degree < k, in the term
+grammar of polynomials) all come from ``fpoly`` run over F_p; the only
+F_p[t] arithmetic of this module is the table walk ``_powers``.
 """
 
 from __future__ import annotations
@@ -36,50 +39,8 @@ _FIELD_CACHE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p (plain int lists, lowest degree first),
-# used only to construct extension fields
-
-
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    rem = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    for i in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[i + dd]
-        if c:
-            c = c * inv_lead % p
-            for j in range(dd):
-                rem[i + j] = (rem[i + j] - c * den[j]) % p
-            rem[i + dd] = 0
-    return _fp_trim(rem)
-
-
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            den = _decode_base(code, p, d) + [1]
-            if not _fp_rem(f, den, p):
-                return False
-    return True
+# construction, on the polynomial kernels of ``fpoly`` over F_p; ``fpoly``
+# imports this module, so it is imported where it is used
 
 
 def _decode_base(code: int, base: int, width: int) -> list[int]:
@@ -92,35 +53,31 @@ def _decode_base(code: int, base: int, width: int) -> list[int]:
 
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree k over F_p."""
+    from .fpoly import Poly, _decode_monic, is_irreducible
+
+    fp = field_make(p)
     for code in range(p**k):
-        cand = _decode_base(code, p, k) + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
+        cand = _decode_monic(p, code, k)
+        if is_irreducible(Poly(fp, cand)):
+            return cand
     raise InvalidDegree(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
-def _fp_powmod(base: list[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _fp_rem(_fp_mul(result, base, p), modulus, p)
-        base = _fp_rem(_fp_mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
-
-
-def _generator(p: int, k: int, modulus: Sequence[int]) -> list[int]:
+def _generator(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
     """Smallest-encoding element of order q - 1 of F_p[t]/(modulus)."""
+    from .fpoly import _decode_cv, _powmod_cv
+
+    fp = field_make(p)
     q = p**k
     cofactors = [(q - 1) // r for r in factorize(q - 1)]
     for code in range(2, q):
-        g = _fp_trim(_decode_base(code, p, k))
-        if all(_fp_powmod(g, c, modulus, p) != [1] for c in cofactors):
+        g = _decode_cv(p, code)
+        if all(_powmod_cv(fp, g, c, modulus) != (1,) for c in cofactors):
             return g
     raise InvalidDegree(f"F_{q} has no generator")  # pragma: no cover
 
 
-def _powers(g: list[int], modulus: Sequence[int], p: int, n: int) -> list[int]:
+def _powers(g: Sequence[int], modulus: Sequence[int], p: int, n: int) -> list[int]:
     """Encodings of g^0, ..., g^(n-1), for g of degree >= 1 below the
     monic modulus."""
     k = len(modulus) - 1
@@ -252,7 +209,9 @@ class FieldSpec:
         if isinstance(value, int):
             return FieldElement(self, value % self.q if self.k == 1 else self._check_enc(value))
         if isinstance(value, str):
-            return FieldElement(self, _element_parse(self, value))
+            from .fpoly import _coeff_value
+
+            return FieldElement(self, _coeff_value(self, value.replace(" ", "")))
         if isinstance(value, Sequence):
             return self.from_coeffs(value)
         raise ParseError(f"cannot build a field element from {value!r}")
@@ -367,10 +326,12 @@ class FieldElement:
         return hash((self.spec.p, self.spec.k, self.val))
 
     def __str__(self) -> str:
-        return _element_str(self.spec, self.val)
+        from .fpoly import _coeff_text
+
+        return _coeff_text(self.spec, self.val)
 
     def __repr__(self) -> str:
-        return f"<{_element_str(self.spec, self.val)} in F_{self.spec.q}>"
+        return f"<{self} in F_{self.spec.q}>"
 
 
 # ---------------------------------------------------------------------------
@@ -415,69 +376,3 @@ def field_from_order(q: int) -> FieldSpec:
 def field_inv(spec: FieldSpec, a: FieldElement) -> FieldElement:
     """Multiplicative inverse of a nonzero element."""
     return spec.element(a).inverse()
-
-
-# ---------------------------------------------------------------------------
-# text form: plain residue for prime fields, a polynomial in t otherwise
-
-
-def _element_str(spec: FieldSpec, val: int) -> str:
-    if spec.k == 1:
-        return str(val)
-    if val == 0:
-        return "0"
-    parts = []
-    for e in range(spec.k - 1, -1, -1):
-        c = val // spec.p**e % spec.p
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            var = "t" if e == 1 else f"t^{e}"
-            parts.append(var if c == 1 else f"{c}*{var}")
-    return "+".join(parts)
-
-
-def _element_parse(spec: FieldSpec, text: str) -> int:
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError("empty field-element text")
-    if spec.k == 1:
-        try:
-            return int(text) % spec.p
-        except ValueError:
-            raise ParseError(f"bad residue {text!r} for F_{spec.p}") from None
-    digits = [0] * spec.k
-    for term in text.split("+"):
-        if not term:
-            raise ParseError(f"bad element text {text!r}")
-        coeff, _, var = term.partition("t")
-        if coeff.endswith("*"):
-            coeff = coeff[:-1]
-        if _ == "":  # constant term
-            try:
-                c, e = int(term), 0
-            except ValueError:
-                raise ParseError(f"bad element term {term!r}") from None
-        else:
-            try:
-                c = int(coeff) if coeff else 1
-            except ValueError:
-                raise ParseError(f"bad element term {term!r}") from None
-            if var == "":
-                e = 1
-            elif var.startswith("^"):
-                try:
-                    e = int(var[1:])
-                except ValueError:
-                    raise ParseError(f"bad element term {term!r}") from None
-            else:
-                raise ParseError(f"bad element term {term!r}")
-        if not 0 <= e < spec.k:
-            raise ParseError(f"exponent {e} out of range in {text!r}")
-        digits[e] = (digits[e] + c) % spec.p
-    enc = 0
-    for c in reversed(digits):
-        enc = enc * spec.p + c
-    return enc

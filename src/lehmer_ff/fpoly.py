@@ -6,10 +6,11 @@ degree ``NEG_INF``).  Polynomials are totally ordered by their integer
 encoding sum(enc(c_i) * q^i); that single order is reused for the
 irreducible sieve, factor lists, and enumeration streams.
 
-Every division runs one long-division loop, ``_reduce_cv``, which
-reduces a list in place and builds a quotient only for callers that ask
-for one: ``_divmod_cv`` and ``//`` do; gcd, powmod, ``%`` and the trace
-map take the remainder alone.
+Every division in the package runs one long-division loop,
+``_reduce_cv``, which reduces a list in place and builds a quotient only
+for callers that ask for one: ``_divmod_cv`` and ``//`` do; gcd, powmod,
+``%`` and the trace map take the remainder alone.  ``ffield`` builds its
+extension fields with these kernels over F_p.
 
 Factoring is distinct-degree factorization through x^(q^i) mod f and
 gcd, with Cantor-Zassenhaus equal-degree splitting (a trace map when
@@ -18,11 +19,14 @@ the first gcd that exposes a factor of degree <= deg/2.  Both cost a
 polynomial in deg f and log q, never touch the sieve, and are
 deterministic: the factorization is canonical and the splitting draws
 from a fixed seed.
-Trial division by a root scan and the sieve of monic irreducibles of
-degree <= deg/2 is kept as the oracle ``factor_bruteforce``; the sieve
+Trial division by the sieve of monic irreducibles of degree <= deg/2,
+from degree 1 up, is kept as the oracle ``factor_bruteforce``; the sieve
 itself serves ``irreducibles`` and that oracle only.  It marks composites
 with ``_monic_multiples``, the walk over the monic multiples of one
 polynomial that the phi sieve in ``totient`` also runs.
+
+The text grammar (``format_poly``, ``parse_poly``) is also the text form
+of an extension-field element: a polynomial in t over F_p.
 """
 
 from __future__ import annotations
@@ -536,18 +540,23 @@ def _factor_cv(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
                 rng = random.Random(_SPLIT_SEED)
             work = _divmod_cv(spec, work, g)[0]
             for p in _split_equal_degree(spec, g, i, rng):
-                m = 1
-                while True:
-                    quo, rem = _divmod_cv(spec, work, p)
-                    if rem:
-                        break
-                    work, m = quo, m + 1
-                out.append((p, m))
+                work, m = _divide_out(spec, work, p)
+                out.append((p, m + 1))
         i += 1
     if len(work) > 1:
         out.append((work, 1))
     out.sort(key=lambda fm: (len(fm[0]), _encode_cv(spec, fm[0])))
     return out
+
+
+def _divide_out(spec: FieldSpec, work, p) -> tuple[tuple, int]:
+    """(work / p^m, m) for the largest m with p^m dividing work."""
+    m = 0
+    while True:
+        quo, rem = _divmod_cv(spec, work, p)
+        if rem:
+            return work, m
+        work, m = quo, m + 1
 
 
 def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
@@ -583,51 +592,23 @@ def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
 
 
 def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
-    """:func:`_factor_cv` by a root scan, then trial division against the
-    sieve of monic irreducibles of degree <= deg/2."""
-    q = spec.q
-    add, mul, neg = spec.add, spec.mul, spec.neg
-    work = list(_monic_cv(spec, cv))
+    """:func:`_factor_cv` by trial division against the sieve of monic
+    irreducibles of degree <= deg/2, from degree 1 (the x - r) up; what
+    is left when no factor of degree <= deg/2 remains is irreducible.
+    Factors are found in sieve order, which is the canonical order."""
+    work = _monic_cv(spec, cv)
     out = []
-    # linear factors: root scan + synthetic division
-    for r in range(q):
-        m = 0
-        while len(work) > 1:
-            acc = 0
-            for c in reversed(work):
-                acc = add(mul(acc, r), c)
-            if acc:
-                break
-            n = len(work) - 1
-            quo = [0] * n
-            quo[n - 1] = work[n]
-            for i in range(n - 1, 0, -1):
-                quo[i - 1] = add(work[i], mul(r, quo[i]))
-            work = quo
-            m += 1
-        if m:
-            out.append(((neg(r), 1), m))
-    # higher-degree factors: trial division against the sieve
-    d = 2
+    d = 1
     while 2 * d <= len(work) - 1:
         for pcv in _irreducible_cvs(spec.p, spec.k, d):
-            while True:
-                quo, rem = _divmod_cv(spec, tuple(work), pcv)
-                if rem:
-                    break
-                work = list(quo)
-                for i, (known, m) in enumerate(out):
-                    if known == pcv:
-                        out[i] = (known, m + 1)
-                        break
-                else:
-                    out.append((pcv, 1))
+            work, m = _divide_out(spec, work, pcv)
+            if m:
+                out.append((pcv, m))
             if 2 * d > len(work) - 1:
                 break
         d += 1
     if len(work) > 1:
-        out.append((tuple(work), 1))
-    out.sort(key=lambda fm: (len(fm[0]), _encode_cv(spec, fm[0])))
+        out.append((work, 1))
     return out
 
 
@@ -642,56 +623,77 @@ def enumerate_polys(spec: FieldSpec, n: int, monic_only: bool = True) -> Iterato
 
 
 # ---------------------------------------------------------------------------
-# text grammar: terms "c*x^e", "x^e", "x", "c" joined by "+"
+# text grammar: terms "c*x^e", "cx^e", "x^e", "x", "c" joined by "+" or "-".
+# An extension-field element is a polynomial in t over F_p written in this
+# grammar, so the functions take the variable name as ``_var``.
 
 
-def format_poly(f: Poly) -> str:
+def format_poly(f: Poly, _var: str = "x") -> str:
     if not f.cv:
         return "0"
-    from .ffield import _element_str
-
     parts = []
     for e in range(len(f.cv) - 1, -1, -1):
         v = f.cv[e]
         if v == 0:
             continue
-        ctext = _element_str(f.spec, v)
-        if e == 0:
-            parts.append(ctext)
-            continue
-        var = "x" if e == 1 else f"x^{e}"
-        if v == 1:
+        var = _var if e == 1 else f"{_var}^{e}"
+        if e and v == 1:
             parts.append(var)
+            continue
+        ctext = _coeff_text(f.spec, v)
+        if not e:
+            parts.append(ctext)
+        elif "+" in ctext or "-" in ctext:
+            parts.append(f"({ctext})*{var}")
         else:
-            if "+" in ctext or "-" in ctext:
-                ctext = f"({ctext})"
             parts.append(f"{ctext}*{var}")
     return "+".join(parts)
 
 
-def parse_poly(spec: FieldSpec, text: str) -> Poly:
+def parse_poly(spec: FieldSpec, text: str, _var: str = "x") -> Poly:
     """Parse the term grammar; accepts any term order and round-trips."""
-    from .ffield import _element_parse
-
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial text")
-    coeffs: dict[int, int] = {}
+    add, neg = spec.add, spec.neg
+    out: list[int] = []
     for sign, term in _split_terms(s):
-        ctext, e = _split_term(term)
-        val = _element_parse(spec, ctext)
-        if sign < 0:
-            val = spec.neg(val)
-        coeffs[e] = spec.add(coeffs.get(e, 0), val)
-    if not coeffs:
-        raise ParseError(f"no terms in {text!r}")
-    out = [0] * (max(coeffs) + 1)
-    for e, v in coeffs.items():
-        out[e] = v
+        ctext, e = _split_term(term, _var)
+        val = _coeff_value(spec, ctext)
+        if e >= len(out):
+            out += [0] * (e + 1 - len(out))
+        out[e] = add(out[e], val if sign > 0 else neg(val))
     return Poly._raw(spec, tuple(_trim(out)))
 
 
+def _coeff_text(spec: FieldSpec, v: int) -> str:
+    """Text of the element encoded by v: the residue for a prime field,
+    else the polynomial in t over F_p."""
+    if spec.k == 1:
+        return str(v)
+    return format_poly(Poly._raw(field_make(spec.p), _decode_cv(spec.p, v)), _var="t")
+
+
+def _coeff_value(spec: FieldSpec, text: str) -> int:
+    """Encoding of an element's text, spaces removed: a residue mod p for
+    a prime field, else a polynomial in t over F_p of degree < k."""
+    if not text:
+        raise ParseError("empty field-element text")
+    if spec.k == 1:
+        try:
+            return int(text) % spec.p
+        except ValueError:
+            raise ParseError(f"bad residue {text!r} for F_{spec.p}") from None
+    fp = field_make(spec.p)
+    digits = parse_poly(fp, text, _var="t").cv
+    if len(digits) > spec.k:
+        raise ParseError(f"exponent {len(digits) - 1} out of range in {text!r}")
+    return _encode_cv(fp, digits)
+
+
 def _split_terms(s: str) -> list[tuple[int, str]]:
+    """Signed terms at parenthesis depth 0.  A "-" right after "+" or "^"
+    stays with the residue or exponent it precedes, as in t+-1 or t^-0."""
     terms = []
     depth = 0
     sign, start = 1, 0
@@ -699,8 +701,7 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
         sign = -1 if s[0] == "-" else 1
         start = 1
     cur = start
-    for i in range(start, len(s)):
-        ch = s[i]
+    for i, ch in enumerate(s[start:], start):
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -708,6 +709,8 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
             if depth < 0:
                 raise ParseError(f"unbalanced parentheses in {s!r}")
         elif ch in "+-" and depth == 0:
+            if ch == "-" and i > start and s[i - 1] in "+^":
+                continue
             terms.append((sign, s[cur:i]))
             sign = -1 if ch == "-" else 1
             cur = i + 1
@@ -717,36 +720,33 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
     return terms
 
 
-def _split_term(term: str) -> tuple[str, int]:
+def _split_term(term: str, var: str) -> tuple[str, int]:
+    """(coefficient text, exponent); the coefficient may precede the
+    variable with or without "*", and a parenthesized one is unwrapped."""
     if not term:
         raise ParseError("empty term")
-    if "x" not in term:
-        ctext = term
-        e = 0
-    elif term == "x":
-        ctext, e = "1", 1
-    elif term.startswith("x^"):
-        ctext, e = "1", _parse_exp(term[2:])
+    ctext, found, power = term.rpartition(var)
+    if not found:
+        ctext, e = power, 0
     else:
-        idx = term.rfind("*x")
-        if idx < 0:
-            raise ParseError(f"bad term {term!r}")
-        ctext = term[:idx]
-        rest = term[idx + 1:]
-        if rest == "x":
+        if not power:
             e = 1
-        elif rest.startswith("x^"):
-            e = _parse_exp(rest[2:])
+        elif power[0] == "^":
+            # read by int(), so t^-0 is t^0 and x^1_0 is x^10
+            try:
+                e = int(power[1:])
+            except ValueError:
+                e = -1
+            if e < 0:
+                raise ParseError(f"bad exponent {power[1:]!r}")
         else:
             raise ParseError(f"bad term {term!r}")
-    if ctext.startswith("(") and ctext.endswith(")"):
+        if ctext[-1:] == "*":
+            ctext = ctext[:-1]
+        ctext = ctext or "1"
+    if ctext[:1] == "(" and ctext[-1:] == ")":
         ctext = ctext[1:-1]
     if not ctext:
         raise ParseError(f"bad term {term!r}")
     return ctext, e
 
-
-def _parse_exp(s: str) -> int:
-    if not s.isdigit():
-        raise ParseError(f"bad exponent {s!r}")
-    return int(s)

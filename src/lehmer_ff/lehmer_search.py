@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from .cyclo import cyclotomic_eval
-from .errors import InvalidInput, PrecisionAlert
+from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
 from .intmath import divisors, euler_phi, ord2, sigma
 
 PRECISION_GAP = Fraction(1, 10**6)
@@ -43,6 +43,8 @@ MIN_CANDIDATE_DPS = 30
 # bits of 2^B beyond the dps digits, so every log and root enclosure is
 # narrower than 10^-(dps - 3) up to n = 2000
 GUARD_BITS = 8
+# candidate_degrees(10_000) takes about 0.7 s, and the time grows linearly
+CANDIDATES_N_MAX_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -279,8 +281,13 @@ def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
     enclosed in exact integers at scale 2^B, B a few bits above ``dps``
     decimal digits (at least 30).  A comparison is decided only when the
     whole enclosure lies outside +-1e-6; otherwise PrecisionAlert is
-    raised.
+    raised.  An n_max above ``CANDIDATES_N_MAX_CAP`` raises
+    SizeCapExceeded before any work.
     """
+    if n_max > CANDIDATES_N_MAX_CAP:
+        raise SizeCapExceeded(
+            f"candidates n_max {n_max} exceeds the cap {CANDIDATES_N_MAX_CAP}"
+        )
     if n_max < 7:
         raise InvalidInput("need n_max >= 7")
     if dps < MIN_CANDIDATE_DPS:

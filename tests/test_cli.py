@@ -274,6 +274,8 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         ("cyclotomic", "--n", "60000", "--eval", str(10**12)),
         ("verify", "--suite", "bounds", "--n-max", "1000001"),
         ("verify", "--suite", "bounds", "--n-max", str(10**12)),
+        ("candidates", "--n-max", "10001"),
+        ("candidates", "--n-max", str(10**12)),
     ],
 )
 def test_oversized_requests_exit_3_at_once(capsys, argv):
@@ -297,6 +299,20 @@ def test_largest_requests_inside_the_caps_run(capsys):
     value = json.loads(out)["value"]  # (3^65521 - 1) / 2
     assert len(value) == 31262
     assert int(value[-18:]) == (pow(3, 65521, 2 * 10**18) - 1) // 2
+
+
+def test_candidates_at_the_cap_runs(capsys):
+    from lehmer_ff.lehmer_search import CANDIDATES_N_MAX_CAP
+
+    code, out, _ = run_cli(
+        capsys, "candidates", "--n-max", str(CANDIDATES_N_MAX_CAP), "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_max"] == 10_000
+    # no degree above 54 enters either set
+    assert payload["refined"] == [8, 9, 10, 12, 14, 18, 20, 24, 30]
+    assert max(payload["coarse"]) == 54
 
 
 def test_lehmer_beyond_oracle_reach(capsys):

@@ -1,8 +1,13 @@
 """Field construction, arithmetic axioms, and the element text form."""
 
+import hashlib
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,16 +22,13 @@ from lehmer_ff import (
     field_make,
 )
 from lehmer_ff.ffield import (
+    _canonical_modulus,
     _decode_base,
-    _element_parse,
-    _element_str,
-    _fp_mul,
-    _fp_powmod,
-    _fp_rem,
     _generator,
     _powers,
     field_from_order,
 )
+from lehmer_ff.fpoly import _mul_cv, _powmod_cv, _reduce_cv
 from lehmer_ff.intmath import is_prime
 
 ffield_module = importlib.import_module("lehmer_ff.ffield")
@@ -200,7 +202,8 @@ def test_element_text_examples(f4, f9):
     assert str(f4.element("t+1")) == "t+1"
     assert str(f9.from_coeffs([2, 1])) == "t+2"
     assert str(f9.zero) == "0"
-    assert _element_str(f9, _element_parse(f9, "2*t+1")) == "2*t+1"
+    assert str(f9.element("2*t+1")) == "2*t+1"
+    assert str(f9.element("2t + 1")) == "2*t+1"
 
 
 def test_element_parse_rejects_garbage(f4):
@@ -249,10 +252,12 @@ REFERENCE_SAMPLED = [(3, 5), (2, 8), (2, 12), (3, 10), (251, 2), (65521, 1), (2,
 
 
 def _reference_ops(spec):
-    """Digit-vector arithmetic modulo ``spec.modulus``; a prime field is
-    F_p[t]/(t)."""
+    """Polynomial arithmetic over F_p modulo ``spec.modulus``, by the
+    ``fpoly`` kernels on plain residues mod p (no exp/log/Zech table); a
+    prime field is F_p[t]/(t)."""
     p, k = spec.p, spec.k
-    modulus = list(spec.modulus or (0, 1))
+    fp = field_make(p)
+    modulus = spec.modulus or (0, 1)
 
     def encode(v):
         return sum(c * p**i for i, c in enumerate(v))
@@ -265,8 +270,8 @@ def _reference_ops(spec):
         return encode([-x % p for x in _decode_base(a, p, k)])
 
     def mul(a, b):
-        prod = _fp_mul(_decode_base(a, p, k), _decode_base(b, p, k), p)
-        return encode(_fp_rem(prod, modulus, p))
+        prod = _mul_cv(fp, _decode_base(a, p, k), _decode_base(b, p, k))
+        return encode(_reduce_cv(fp, list(prod), modulus))
 
     return add, neg, mul
 
@@ -307,6 +312,7 @@ POWERS_STRIDED = [(3, 10), (2, 16)]
 @pytest.mark.parametrize("p,k", POWERS_FULL + POWERS_STRIDED)
 def test_exp_and_log_tables_match_the_polynomial_route(p, k):
     spec = field_make(p, k)
+    fp = field_make(p)
     modulus, n = spec.modulus, spec.q - 1
     g = _generator(p, k, modulus)
     exp = _powers(g, modulus, p, n)
@@ -318,13 +324,81 @@ def test_exp_and_log_tables_match_the_polynomial_route(p, k):
         cur, expected = [1], []
         for _ in range(n):
             expected.append(encode(cur))
-            cur = _fp_rem(_fp_mul(cur, g, p), modulus, p)
+            cur = _reduce_cv(fp, list(_mul_cv(fp, cur, g)), modulus)
         assert exp == expected
     else:
         sample = range(0, n, 331)
-        expected = [encode(_fp_powmod(g, i, modulus, p)) for i in sample]
+        expected = [encode(_powmod_cv(fp, g, i, modulus)) for i in sample]
         assert [exp[i] for i in sample] == expected
     # spec.mul(a, b) is exp[log(a) + log(b)], so this pins log as the
     # inverse of exp at every power
     g_enc = encode(g)
     assert all(spec.mul(g_enc, exp[i]) == exp[(i + 1) % n] for i in range(n))
+
+
+# sha256 of repr([(p, k, modulus, generator), ...]) over the 93 extension
+# fields with q <= 2^16 in (p, k) order, and of the text of every element
+# of F_4, F_8, F_9, F_25, F_27 and F_256, one per line: the exp/log tables
+# follow from the modulus and generator, so these pin every field and
+# every printed coefficient
+CONSTRUCTION_SHA256 = "1d8dcaed841062b53a08ca567a8bfcc62bc37c6dd3765c4dbf6d1032ccd1d07d"
+ELEMENT_TEXT_SHA256 = "03c2fd81646dab6783ff10a9e032961f11b1c4ceee68382617e11c47c5dfa5e7"
+
+
+def test_every_extension_field_keeps_its_modulus_and_generator():
+    rows = []
+    for p in range(2, 257):
+        k = 2
+        while is_prime(p) and p**k <= 1 << 16:
+            modulus = _canonical_modulus(p, k)
+            rows.append((p, k, tuple(modulus), tuple(_generator(p, k, modulus))))
+            k += 1
+    assert len(rows) == 93
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CONSTRUCTION_SHA256
+
+
+def test_element_text_of_small_fields_is_unchanged():
+    fields = ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8))
+    text = "\n".join(str(e) for p, k in fields for e in field_make(p, k).elements())
+    assert hashlib.sha256(text.encode()).hexdigest() == ELEMENT_TEXT_SHA256
+
+
+def test_element_text_takes_the_polynomial_grammar(f4, f9):
+    t = f9.element("t")
+    assert f9.element("t-1") == t + 2
+    assert f9.element("-t") == -t
+    assert f9.element("+(2)*t") == t + t
+    assert f9.element("t-(1)") == t + 2
+    # a signed residue, a coefficient-free "*t" and a signed exponent
+    assert f9.element("t+-1") == t + 2
+    assert f9.element("*t") == t
+    assert f9.element("2t^1+t^-0") == t + t + 1
+    # the degree check is on the sum, so vanishing terms above t^(k-1) pass
+    assert f4.element("t^2+t^2") == f4.zero
+    for bad in ("t^2", "t^2+t", "u", "t+", "(t", "tt", "t^x"):
+        with pytest.raises(ParseError):
+            f9.element(bad)
+
+
+# builds two extension fields in a fresh interpreter, whose first import is
+# ffield: the construction and the element text reach fpoly from inside
+_IMPORT_ORDER_SCRIPT = """
+import lehmer_ff.ffield as ffield
+for p, k in ((2, 8), (3, 5)):
+    spec = ffield.field_make(p, k)
+    print(str(spec.element("t+1")))
+"""
+
+
+def test_ffield_imported_first_builds_fields():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ORDER_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["t+1", "t+1"]

@@ -461,6 +461,19 @@ def test_poly_parse_rejects_garbage(f2):
             parse_poly(f2, bad)
 
 
+def test_poly_parse_shares_the_element_forms(f3, f9):
+    # a coefficient may precede x without "*", as t in element text
+    assert parse_poly(f3, "2x^2+x") == P(f3, "2*x^2+x")
+    assert parse_poly(f9, "(t+1)x+tx^2") == P(f9, "t*x^2+(t+1)*x")
+    assert parse_poly(f3, "*x") == P(f3, "x")
+    # a "-" after "+" or "^" is the sign of the residue or exponent
+    assert parse_poly(f3, "x+-1") == P(f3, "x+2")
+    assert parse_poly(f3, "x^-0+x") == P(f3, "x+1")
+    for bad in ("x^-1", "x^\u00b2", "x^+1", "x++1", "--x", "2**x"):
+        with pytest.raises(ParseError):
+            parse_poly(f3, bad)
+
+
 def test_poly_mixed_field_arithmetic_rejected(f2, f3):
     with pytest.raises(FieldMismatch):
         P(f2, "x") + P(f3, "x")
