@@ -5,8 +5,9 @@ candidates, verify.  Output formats: text (aligned table), json (with a
 top-level "schema": 1 field), csv (with a header row).  Diagnostics go
 to stderr.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 resource limit (oracle cap, factoring budget or size cap exceeded).
+Exit codes: 0 success/verified, 1 verification mismatch or failed internal
+cross-check, 2 usage error, 3 resource limit (oracle cap, factoring budget
+or size cap exceeded, or a marginal precision comparison).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     LehmerFFError,
     PrecisionAlert,
     RESOURCE_ERRORS,
+    VerificationError,
 )
 from .ffield import FieldSpec, field_from_order, field_make
 from .fpoly import parse_poly
@@ -356,12 +358,12 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except RESOURCE_ERRORS as exc:
+    except (*RESOURCE_ERRORS, PrecisionAlert) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except PrecisionAlert as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_MISMATCH
     except LehmerFFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

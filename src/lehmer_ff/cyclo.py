@@ -36,7 +36,6 @@ from .intmath import (
     factorize,
     largest_prime_factor,
     mobius_divisors,
-    valuation,
 )
 
 DEFAULT_FACTORING_BUDGET = 1 << 64
@@ -164,11 +163,6 @@ def cyclotomic_eval_pair(n: int, a: int, b: int) -> int:
     return _value(n, a, b)
 
 
-def ord_p(p: int, m: int) -> int:
-    """Normalized p-adic valuation of a nonzero integer."""
-    return valuation(p, m)
-
-
 def primitive_part(a: int, b: int, n: int) -> int:
     """Product of primitive prime powers in a^n - b^n, without factoring.
 
@@ -181,10 +175,6 @@ def primitive_part(a: int, b: int, n: int) -> int:
     while value % p0 == 0:
         value //= p0
     return value
-
-
-def has_primitive_divisor(a: int, b: int, n: int) -> bool:
-    return primitive_part(a, b, n) > 1
 
 
 @dataclass(frozen=True)

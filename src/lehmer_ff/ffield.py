@@ -371,8 +371,3 @@ def field_from_order(q: int) -> FieldSpec:
                 raise InvalidPrime(f"{q} is not a prime power")
             return field_make(p, k)
     return field_make(q, 1)  # no p <= sqrt(q) divides q, so q is prime
-
-
-def field_inv(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero element."""
-    return spec.element(a).inverse()

@@ -147,14 +147,6 @@ def _gcd_cv(spec: FieldSpec, a, b):
     return _monic_cv(spec, a)
 
 
-def _eval_cv(spec: FieldSpec, cv, x: int) -> int:
-    add, mul = spec.add, spec.mul
-    acc = 0
-    for c in reversed(cv):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
 def _powmod_cv(spec: FieldSpec, g, e: int, f):
     g = _reduce_cv(spec, list(g), f)
     result = None  # 1, kept apart so the first product is not computed
@@ -229,10 +221,6 @@ class Poly:
     def x(cls, spec: FieldSpec) -> "Poly":
         return cls._raw(spec, (0, 1))
 
-    @classmethod
-    def parse(cls, spec: FieldSpec, text: str) -> "Poly":
-        return parse_poly(spec, text)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -244,30 +232,17 @@ class Poly:
     def coeffs(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.spec, v) for v in self.cv)
 
-    @property
-    def leading_coeff(self) -> FieldElement:
-        if not self.cv:
-            return FieldElement(self.spec, 0)
-        return FieldElement(self.spec, self.cv[-1])
-
     def is_zero(self) -> bool:
         return not self.cv
 
     def is_monic(self) -> bool:
         return bool(self.cv) and self.cv[-1] == 1
 
-    def monic(self) -> "Poly":
-        return Poly._raw(self.spec, _monic_cv(self.spec, self.cv))
-
     def encoding(self) -> int:
         return _encode_cv(self.spec, self.cv)
 
     def sort_key(self) -> tuple[int, int]:
         return (len(self.cv), self.encoding())
-
-    def __call__(self, x) -> FieldElement:
-        xv = x.val if isinstance(x, FieldElement) else x % self.spec.q
-        return FieldElement(self.spec, _eval_cv(self.spec, self.cv, xv))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, isqrt
 
 from .cyclo import cyclotomic_eval
 from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
@@ -41,7 +41,7 @@ from .intmath import divisors, euler_phi, ord2, sigma
 PRECISION_GAP = Fraction(1, 10**6)
 MIN_CANDIDATE_DPS = 30
 # bits of 2^B beyond the dps digits, so every log and root enclosure is
-# narrower than 10^-(dps - 3) up to n = 2000
+# narrower than 10^-(dps - 3) up to n = CANDIDATES_N_MAX_CAP
 GUARD_BITS = 8
 # candidate_degrees(10_000) takes about 0.7 s, and the time grows linearly
 CANDIDATES_N_MAX_CAP = 10_000
@@ -66,26 +66,14 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def s(self) -> int:
-        return len(self.parts)
-
-    def multiplicity(self, d: int) -> int:
-        return sum(1 for e in self.parts if e == d)
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def partitions_of(n: int, max_part: int | None = None):
+def partitions_of(n: int):
     """All partitions of n with s >= 2, in colex order (largest part last,
     ascending)."""
-    if n < 2:
-        return
-    top = n - 1 if max_part is None else min(max_part, n - 1)
-    for last in range(1, top + 1):
-        if last == n:
-            continue
+    for last in range(1, n):
         for rest in _bounded_partitions(n - last, last):
             yield rest + (last,)
 
@@ -334,10 +322,3 @@ def verify_prop36(n_max: int) -> list[tuple[int, Partition]]:
         for n in range(2, n_max + 1)
         for part in lehmer_partitions(2, n, cap)
     ]
-
-
-def parts_gcd(part: Partition) -> int:
-    g = 0
-    for e in part.parts:
-        g = gcd(g, e)
-    return g

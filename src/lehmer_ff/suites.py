@@ -10,29 +10,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 
-from .cyclo import cyclotomic_eval, ord_p, primitive_part, zsigmondy
+from .cyclo import cyclotomic_eval, primitive_part
 from .errors import InvalidInput, SizeCapExceeded
 from .ffield import FieldSpec, field_from_order
 from .fpoly import Poly, enumerate_polys, irreducibles, poly_gcd, poly_powmod
-from .intmath import euler_phi, ord2, sigma_phi_sieve, valuation
+from .intmath import divisors, euler_phi, is_prime, ord2, sigma_phi_sieve, valuation
 from .lehmer_search import (
     Partition,
-    abundancy,
     c_factor,
     classify_a_ge_3,
     exponent_map,
     mersenne_divisibility,
-    parts_gcd,
     partitions_of,
     verify_prop36,
 )
 from .totient import (
-    hit_structure_violations,  # noqa: F401  (re-exported)
-    is_lehmer,
     lehmer_set_bruteforce,
     totient,
     totient_bruteforce,
+    totient_report,
 )
 
 # the coarse candidate-degree list as stated; the coarse inequality also
@@ -251,8 +250,6 @@ def suite_cyclo_lemmas() -> SuiteReport:
 
 
 def _divisor_product(value, n: int, a: int) -> int:
-    from .intmath import divisors
-
     prod = 1
     for d in divisors(n):
         prod *= value(d, a)
@@ -276,10 +273,10 @@ def _check_valuation_lift(value) -> list:
                     if not base:
                         continue
                     if idx > 2:
-                        if ord_p(p, value(idx, a)) != 1:
+                        if valuation(p, value(idx, a)) != 1:
                             bad.append((p, m, v, a, "order"))
                     else:  # idx == 2: p = 2, m = v = 1
-                        if ord_p(2, value(2, a)) != valuation(2, a + 1):
+                        if valuation(2, value(2, a)) != valuation(2, a + 1):
                             bad.append((p, m, v, a, "order-2"))
     return bad
 
@@ -299,15 +296,11 @@ def _check_divisor_existence(value) -> list:
 
 
 def _check_value_gcds(value) -> list:
-    from math import gcd as igcd
-
-    from .intmath import is_prime
-
     bad = []
     for a in range(2, 9):
         for n in range(1, 41):
             for m in range(n + 1, 41):
-                g = igcd(value(n, a), value(m, a))
+                g = gcd(value(n, a), value(m, a))
                 if g == 1:
                     continue
                 if not is_prime(g):
@@ -392,7 +385,7 @@ def suite_oracle() -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# property checks shared by tests and the CLI
+# property checks the tests run
 
 
 def euler_theorem_violations(
@@ -423,8 +416,6 @@ def _random_poly(rng: random.Random, spec: FieldSpec, degree: int) -> Poly:
 def exponent_map_violations(n_max: int = 20, bases=(2, 3, 4)) -> list[str]:
     """Exact rational quotient must match the cyclotomic exponent product,
     and integrality must match the divisibility oracle."""
-    from fractions import Fraction
-
     bad = []
     for n in range(2, n_max + 1):
         for parts in partitions_of(n):
@@ -453,7 +444,7 @@ def divisibility_structure_violations(n_max: int = 24) -> list[str]:
                 continue
             if any(n % e for e in parts):
                 bad.append(f"n={n} parts={parts}: part does not divide n")
-            if parts_gcd(part) != 1:
+            if gcd(*parts) != 1:
                 bad.append(f"n={n} parts={parts}: gcd != 1")
     return bad
 
@@ -462,12 +453,13 @@ def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str
     bad = []
     for n in range(1, max_degree + 1):
         for f in enumerate_polys(spec, n, monic_only=True):
-            _, in_l, _ = is_lehmer(f)
-            base_phi = totient(f)
+            report = totient_report(f)
+            in_l = report.divides and report.reducible
             for u in spec.units():
                 g = f * u
-                _, in_l_u, _ = is_lehmer(g)
-                if in_l_u != in_l or totient(g) != base_phi:
+                report_u = totient_report(g)
+                in_l_u = report_u.divides and report_u.reducible
+                if in_l_u != in_l or report_u.phi != report.phi:
                     bad.append(f"{f} vs unit multiple {g}")
     return bad
 

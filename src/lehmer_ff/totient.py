@@ -137,13 +137,6 @@ def totient_report(f: Poly) -> TotientReport:
     )
 
 
-def is_lehmer(f: Poly) -> tuple[bool, bool, TotientReport]:
-    """(phi divides q^n - 1, additionally reducible, full report)."""
-    report = totient_report(f)
-    in_script_l = report.divides
-    return in_script_l, in_script_l and report.reducible, report
-
-
 def lehmer_shapes(q: int, n: int) -> list[tuple[int, ...]]:
     """Factor-degree shapes of the degree-n hits over F_q, in colex order.
 
@@ -192,9 +185,7 @@ def lehmer_set(
     return _finish(spec, hits, expand_units)
 
 
-def lehmer_set_bruteforce(
-    spec: FieldSpec, max_degree: int, expand_units: bool = False
-) -> list[Poly]:
+def lehmer_set_bruteforce(spec: FieldSpec, max_degree: int) -> list[Poly]:
     """:func:`lehmer_set` by computing phi(q, f) for every monic f in range
     with :func:`_phi_sieve` and keeping the reducible f whose phi divides
     q^deg(f) - 1 (a reducible f never has phi = q^deg(f) - 1).
@@ -218,7 +209,7 @@ def lehmer_set_bruteforce(
         for r, v in enumerate(phi[n]):
             if v != mod_value and mod_value % v == 0:
                 hits.append(Poly._raw(spec, _decode_monic(q, r, n)))
-    return _finish(spec, hits, expand_units)
+    return _finish(spec, hits, expand_units=False)
 
 
 def _phi_sieve(spec: FieldSpec, max_degree: int) -> list[array]:

@@ -39,11 +39,11 @@ from lehmer_ff.suites import (
     euler_theorem_violations,
     exponent_map_violations,
     expected_lehmer_monic,
-    hit_structure_violations,
     suite_bounds,
     suite_cyclo_lemmas,
     unit_invariance_violations,
 )
+from lehmer_ff.totient import hit_structure_violations
 
 
 def verdict(num: int, ok: bool, label: str, elapsed: float | None = None) -> None:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -284,6 +285,25 @@ def test_oversized_requests_exit_3_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1
     assert code == 3
     assert out == "" and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lehmer", "--q", "2", "--max-degree", "4"),
+        ("verify", "--suite", "main-theorem", "--q", "2", "--max-degree", "4"),
+    ],
+)
+def test_failed_hit_guard_exits_1(capsys, monkeypatch, argv):
+    # the package attribute ``lehmer_ff.totient`` is the function, so the
+    # module is patched through importlib
+    totient_module = importlib.import_module("lehmer_ff.totient")
+    monkeypatch.setattr(
+        totient_module, "hit_structure_violations", lambda spec, hits: ["injected"]
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and err == "error: injected\n"
 
 
 def test_largest_requests_inside_the_caps_run(capsys):

@@ -12,8 +12,6 @@ from lehmer_ff import (
     UndefinedValuation,
     cyclotomic,
     cyclotomic_eval,
-    has_primitive_divisor,
-    ord_p,
     primitive_part,
     zsigmondy,
 )
@@ -28,6 +26,7 @@ from lehmer_ff.intmath import (
     sigma,
     sigma_phi_sieve,
     sigma_sieve,
+    valuation,
 )
 
 
@@ -126,17 +125,17 @@ def test_homogeneous_values():
             assert prod == a**n - b**n, (n, a, b)
 
 
-def test_ord_p_examples():
-    assert ord_p(2, 80) == 4
-    assert ord_p(3, 80) == 0
-    assert ord_p(2, cyclotomic_eval(2, 3)) == 2
+def test_valuation_examples():
+    assert valuation(2, 80) == 4
+    assert valuation(3, 80) == 0
+    assert valuation(2, cyclotomic_eval(2, 3)) == 2
 
 
-def test_ord_p_errors():
+def test_valuation_errors():
     with pytest.raises(UndefinedValuation):
-        ord_p(2, 0)
+        valuation(2, 0)
     with pytest.raises(InvalidInput):
-        ord_p(4, 8)
+        valuation(4, 8)
 
 
 def test_zsigmondy_exceptional_cases():
@@ -229,7 +228,6 @@ def test_primitive_part_agrees_with_full_classification():
                 m = primitive_part(a, b, n)
                 assert r.primitive_part == m, (a, b, n)
                 assert bool(r.primitive_primes) == (m > 1)
-                assert has_primitive_divisor(a, b, n) == (m > 1)
 
 
 def test_primitive_part_estimate_window():

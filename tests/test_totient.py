@@ -16,7 +16,6 @@ from lehmer_ff import (
     field_from_order,
     field_make,
     irreducible_count,
-    is_lehmer,
     lehmer_set,
     lehmer_set_bruteforce,
     mersenne_divisibility,
@@ -28,8 +27,8 @@ from lehmer_ff import (
     totient_report,
 )
 from lehmer_ff import suites as suites_module
-from lehmer_ff.suites import expected_lehmer_monic, hit_structure_violations
-from lehmer_ff.totient import lehmer_shapes
+from lehmer_ff.suites import expected_lehmer_monic
+from lehmer_ff.totient import hit_structure_violations, lehmer_shapes
 
 # the package re-exports the function ``totient`` under the module's name
 totient_module = importlib.import_module("lehmer_ff.totient")
@@ -149,12 +148,12 @@ def test_bruteforce_equals_the_literal_count(q, max_deg, units):
 
 
 def test_is_lehmer_examples(f2):
-    in_script, in_l, _ = is_lehmer(P(f2, "x^2+x"))
-    assert (in_script, in_l) == (True, True)
-    in_script, in_l, _ = is_lehmer(P(f2, "x^2+x+1"))
-    assert (in_script, in_l) == (True, False)
-    in_script, in_l, _ = is_lehmer(P(f2, "x^3+x^2+x"))  # x(x^2+x+1), phi = 3
-    assert (in_script, in_l) == (False, False)
+    report = totient_report(P(f2, "x^2+x"))
+    assert (report.divides, report.reducible) == (True, True)
+    report = totient_report(P(f2, "x^2+x+1"))
+    assert (report.divides, report.reducible) == (True, False)
+    report = totient_report(P(f2, "x^3+x^2+x"))  # x(x^2+x+1), phi = 3
+    assert (report.divides, report.reducible) == (False, True)
 
 
 def test_report_fields(f2):
@@ -237,7 +236,8 @@ def test_lehmer_set_matches_per_poly_filter(f3):
     direct = set()
     for n in range(1, 5):
         for f in enumerate_polys(f3, n, monic_only=True):
-            if is_lehmer(f)[1]:
+            report = totient_report(f)
+            if report.divides and report.reducible:
                 direct.add(f)
     assert swept == direct
 
@@ -300,9 +300,11 @@ def test_unit_membership_invariance(f2, f3, f4):
     for spec in (f2, f3, f4):
         for n in range(1, 4):
             for f in enumerate_polys(spec, n, monic_only=True):
-                _, in_l, _ = is_lehmer(f)
+                report = totient_report(f)
                 for u in spec.units():
-                    assert is_lehmer(f * u)[1] == in_l
+                    report_u = totient_report(f * u)
+                    assert report_u.divides == report.divides
+                    assert report_u.reducible == report.reducible
 
 
 def test_hits_are_squarefree_with_dividing_degrees(lehmer_sets):
