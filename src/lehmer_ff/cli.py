@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_field(p):
         p.add_argument("--q", type=int, help="field size (prime power)")
         p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--k", type=int, default=1, help="extension degree")
+        p.add_argument("--k", type=int, help="extension degree")
 
     p = sub.add_parser("totient", help="totient report for one polynomial")
     p.add_argument("poly", help="polynomial text, e.g. 'x^3+x+1'")
@@ -127,10 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_from_args(args) -> FieldSpec:
+    """F_q from --q, or F_{p^k} from --p and --k (1 if left out)."""
     if args.q is not None:
+        if args.p is not None or args.k is not None:
+            raise LehmerFFError("give the field as --q or as --p [--k], not both")
         return field_from_order(args.q)
     if args.p is not None:
-        return field_make(args.p, args.k)
+        return field_make(args.p, 1 if args.k is None else args.k)
     raise LehmerFFError("specify the field with --q or --p [--k]")
 
 
@@ -198,7 +201,7 @@ def _cmd_lehmer(args) -> int:
         f"q^deg - 1 up to degree {args.max_degree}",
         file=sys.stderr,
     )
-    records = [totient_report(f).as_record() for f in hits]
+    records = [r.as_record() for r in hits]
     _emit_records(records, args.format, REPORT_COLUMNS)
     return EXIT_OK
 

@@ -69,16 +69,6 @@ class IntPoly:
             acc = acc * a + c
         return acc
 
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self.coeffs or not other.coeffs:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    out[i + j] += ai * bj
-        return IntPoly(tuple(out))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

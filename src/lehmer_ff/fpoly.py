@@ -587,13 +587,13 @@ def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
     return out
 
 
-def enumerate_polys(spec: FieldSpec, n: int, monic_only: bool = True) -> Iterator[Poly]:
-    """Every polynomial of exact degree n, in encoding order."""
+def enumerate_polys(spec: FieldSpec, n: int) -> Iterator[Poly]:
+    """Every monic polynomial of exact degree n, in encoding order."""
     if n < 0:
         raise InvalidInput("degree must be >= 0")
     q = spec.q
     lo = q**n
-    for code in range(lo, 2 * lo if monic_only else q * lo):
+    for code in range(lo, 2 * lo):
         yield Poly._raw(spec, _decode_cv(q, code))
 
 

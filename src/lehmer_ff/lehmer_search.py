@@ -12,14 +12,13 @@ cyclotomic polynomials Phi_d with integer exponents
 
     exponent(d) = [d | n] - #{i : d | e_i},
 
-so the quotient's structure (the positive-exponent divisors and the
-denominator multiset) is available for inspection and for an exact
-rational consistency check.
+which the ``partitions`` command prints for each row.
 
 ``candidate_degrees`` evaluates the logarithmic bound comparison that
-narrows the a = 2 search: the coarse form uses the abundancy majorant
-1.28 * n^(1/4) against c(n) * log2 * n^(3/4) - log(2n); the refined
-form uses the exact abundancy h(n) against phi(n) * log2 - log(2n).
+narrows the a = 2 search: the coarse form uses the majorant
+1.28 * n^(1/4) of h(n) = sigma(n)/n against
+c(n) * log2 * n^(3/4) - log(2n); the refined form uses h(n) itself
+against phi(n) * log2 - log(2n).
 Each margin (left minus right side) is enclosed between two integers at
 scale 2^B, B a few bits above the requested >= 30 decimal digits: logs
 from floored atanh series with a bounded remainder, fourth roots from
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from .cyclo import cyclotomic_eval
 from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
 from .intmath import divisors, euler_phi, ord2, sigma
 
@@ -140,24 +138,6 @@ class ExponentMap:
     part: Partition
     exponents: dict[int, int]
 
-    @property
-    def positive_divisors(self) -> set[int]:
-        """Divisors d > 1 appearing with exponent +1 (the numerator set)."""
-        return {d for d, e in self.exponents.items() if d > 1 and e > 0}
-
-    @property
-    def denominator_multiset(self) -> dict[int, int]:
-        """d >= 2 with negative exponent, mapped to its multiplicity."""
-        return {d: -e for d, e in self.exponents.items() if d >= 2 and e < 0}
-
-    def value(self, a: int) -> Fraction:
-        """Exact rational value of the quotient at x = a."""
-        out = Fraction(1)
-        for d, e in sorted(self.exponents.items()):
-            if e:
-                out *= Fraction(cyclotomic_eval(d, a)) ** e
-        return out
-
     def as_record(self) -> dict:
         return {str(d): e for d, e in sorted(self.exponents.items())}
 
@@ -172,13 +152,6 @@ def exponent_map(n: int, part: Partition) -> ExponentMap:
     for d in sorted(relevant):
         exps[d] = (1 if n % d == 0 else 0) - sum(1 for e in part.parts if e % d == 0)
     return ExponentMap(n=n, part=part, exponents=exps)
-
-
-def abundancy(n: int) -> Fraction:
-    """sigma(n)/n in lowest terms."""
-    if n < 1:
-        raise InvalidInput("abundancy needs n >= 1")
-    return Fraction(sigma(n), n)
 
 
 def c_factor(n: int) -> Fraction:
@@ -292,24 +265,9 @@ def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
     return found["coarse"], found["refined"]
 
 
-def prop36_partition_allowed(part: Partition) -> bool:
-    """Multiplicity caps: at most two 1-parts, and at most (2^d - 1)/d
-    copies of any part d >= 2."""
-    counts: dict[int, int] = {}
-    for e in part.parts:
-        counts[e] = counts.get(e, 0) + 1
-    for d, u in counts.items():
-        if d == 1:
-            if u > 2:
-                return False
-        elif u * d > 2**d - 1:
-            return False
-    return True
-
-
 def verify_prop36(n_max: int) -> list[tuple[int, Partition]]:
-    """Partitions (base a = 2) passing the divisibility test and the
-    multiplicity caps of ``prop36_partition_allowed``, for every
+    """Partitions (base a = 2) passing the divisibility test with at most
+    two parts 1 and at most (2^d - 1)/d parts d >= 2, for every
     n <= n_max: the one search, run with those caps."""
     if n_max < 2:
         raise InvalidInput("need n_max >= 2")

@@ -8,30 +8,24 @@ is visible as data rather than a bare boolean.  Suites are deterministic
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .cyclo import cyclotomic_eval, primitive_part
 from .errors import InvalidInput, SizeCapExceeded
 from .ffield import FieldSpec, field_from_order
-from .fpoly import Poly, enumerate_polys, irreducibles, poly_gcd, poly_powmod
+from .fpoly import Poly, enumerate_polys, irreducibles
 from .intmath import divisors, euler_phi, is_prime, ord2, sigma_phi_sieve, valuation
 from .lehmer_search import (
     Partition,
     c_factor,
     classify_a_ge_3,
-    exponent_map,
-    mersenne_divisibility,
-    partitions_of,
     verify_prop36,
 )
 from .totient import (
     lehmer_set_bruteforce,
     totient,
     totient_bruteforce,
-    totient_report,
 )
 
 # the coarse candidate-degree list as stated; the coarse inequality also
@@ -139,10 +133,10 @@ def suite_main_theorem(
         report.add_diff(
             f"q={order} monic sweep to degree {bound}",
             {str(f) for f in sorted(expected, key=Poly.sort_key)},
-            {str(f) for f in hits},
+            {str(r.f) for r in hits},
         )
         if order == 3:
-            expanded = [f * u for f in hits for u in spec.units()]
+            expanded = [r.f * u for r in hits for u in spec.units()]
             report.add(
                 f"q={order} unit expansion yields {2 * len(expected)} polynomials",
                 len(expanded) == 2 * len(expected),
@@ -371,7 +365,7 @@ def suite_oracle() -> SuiteReport:
         bad = []
         checked = 0
         for n in range(1, max_deg + 1):
-            for f in enumerate_polys(spec, n, monic_only=True):
+            for f in enumerate_polys(spec, n):
                 checked += 1
                 if totient(f) != totient_bruteforce(f):
                     bad.append(str(f))
@@ -382,86 +376,6 @@ def suite_oracle() -> SuiteReport:
             bad,
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# property checks the tests run
-
-
-def euler_theorem_violations(
-    spec: FieldSpec, trials: int = 100, seed: int = 20260810
-) -> list[str]:
-    """Random coprime pairs (f, g): g^phi(f) must be 1 mod f."""
-    rng = random.Random(seed * 1009 + spec.q)
-    one = Poly.one(spec)
-    bad = []
-    done = 0
-    while done < trials:
-        f = _random_poly(rng, spec, rng.randint(1, 5))
-        g = _random_poly(rng, spec, rng.randint(0, 6))
-        if g.is_zero() or poly_gcd(f, g) != one:
-            continue
-        done += 1
-        if poly_powmod(g, totient(f), f) != one:
-            bad.append(f"f={f}, g={g}")
-    return bad
-
-
-def _random_poly(rng: random.Random, spec: FieldSpec, degree: int) -> Poly:
-    cv = [rng.randrange(spec.q) for _ in range(degree)]
-    cv.append(rng.randrange(1, spec.q))
-    return Poly(spec, cv)
-
-
-def exponent_map_violations(n_max: int = 20, bases=(2, 3, 4)) -> list[str]:
-    """Exact rational quotient must match the cyclotomic exponent product,
-    and integrality must match the divisibility oracle."""
-    bad = []
-    for n in range(2, n_max + 1):
-        for parts in partitions_of(n):
-            part = Partition(parts)
-            emap = exponent_map(n, part)
-            for a in bases:
-                denom = 1
-                for e in parts:
-                    denom *= a**e - 1
-                direct = Fraction(a**n - 1, denom)
-                if emap.value(a) != direct:
-                    bad.append(f"value mismatch n={n} parts={parts} a={a}")
-                if (direct.denominator == 1) != mersenne_divisibility(a, part):
-                    bad.append(f"integrality mismatch n={n} parts={parts} a={a}")
-    return bad
-
-
-def divisibility_structure_violations(n_max: int = 24) -> list[str]:
-    """For base 2, every partition passing the oracle must have all parts
-    dividing n and overall gcd 1."""
-    bad = []
-    for n in range(2, n_max + 1):
-        for parts in partitions_of(n):
-            part = Partition(parts)
-            if not mersenne_divisibility(2, part):
-                continue
-            if any(n % e for e in parts):
-                bad.append(f"n={n} parts={parts}: part does not divide n")
-            if gcd(*parts) != 1:
-                bad.append(f"n={n} parts={parts}: gcd != 1")
-    return bad
-
-
-def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str]:
-    bad = []
-    for n in range(1, max_degree + 1):
-        for f in enumerate_polys(spec, n, monic_only=True):
-            report = totient_report(f)
-            in_l = report.divides and report.reducible
-            for u in spec.units():
-                g = f * u
-                report_u = totient_report(g)
-                in_l_u = report_u.divides and report_u.reducible
-                if in_l_u != in_l or report_u.phi != report.phi:
-                    bad.append(f"{f} vs unit multiple {g}")
-    return bad
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:

@@ -17,16 +17,18 @@ from ``lehmer_search.lehmer_partitions``, the search for the partition
 condition prod(q^{e_i} - 1) | q^n - 1, and multiplies out the passing
 ones.  ``lehmer_set_bruteforce`` is its independent oracle: a sieve of
 Eratosthenes over the monic encodings computes phi(q, f) for every monic
-f in range, with no factoring and no partition search.  Both check known
-structural facts about the hits (squarefreeness, factor-degree
-divisibility, a lower bound on the number of distinct factors) on the
-result as a guard, by trial division (``fpoly.factor_bruteforce``).
+f in range, with no factoring and no partition search.  Both factor each
+monic hit once, by trial division (``fpoly.factor_bruteforce``), and
+return its ``TotientReport``; a unit multiple reuses those factors.  The
+reports are guarded: each must meet the Lehmer condition and known
+structural facts (squarefreeness, factor-degree divisibility, a lower
+bound on the number of distinct factors).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, product
 from math import prod
@@ -122,7 +124,11 @@ class TotientReport:
 def totient_report(f: Poly) -> TotientReport:
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
-    fac = factor(f)
+    return _report(f, factor(f))
+
+
+def _report(f: Poly, fac: Factorization) -> TotientReport:
+    """The report of f, built from its factorization ``fac``."""
     q = f.spec.q
     n = len(f.cv) - 1
     phi = _phi_from_parts(q, [(p.cv, m) for p, m in fac.factors])
@@ -155,9 +161,9 @@ def lehmer_set(
     max_degree: int,
     expand_units: bool = False,
     workers: int = 1,
-) -> list[Poly]:
-    """All f with 1 <= deg(f) <= max_degree whose totient divides
-    q^deg(f) - 1 and which are reducible.
+) -> list[TotientReport]:
+    """The reports of all f with 1 <= deg(f) <= max_degree whose totient
+    divides q^deg(f) - 1 and which are reducible.
 
     Each shape of :func:`lehmer_shapes` is realised as every product of
     distinct monic irreducibles of its degrees, so only the degrees in a
@@ -166,7 +172,8 @@ def lehmer_set(
     process.
 
     Monic representatives by default; with ``expand_units`` every monic
-    hit is multiplied by every unit.  Sorted by (degree, encoding).
+    hit is multiplied by every unit.  Sorted by the (degree, encoding) of
+    each report's polynomial.
     """
     _check_max_degree(max_degree)
     if workers < 1:
@@ -185,7 +192,7 @@ def lehmer_set(
     return _finish(spec, hits, expand_units)
 
 
-def lehmer_set_bruteforce(spec: FieldSpec, max_degree: int) -> list[Poly]:
+def lehmer_set_bruteforce(spec: FieldSpec, max_degree: int) -> list[TotientReport]:
     """:func:`lehmer_set` by computing phi(q, f) for every monic f in range
     with :func:`_phi_sieve` and keeping the reducible f whose phi divides
     q^deg(f) - 1 (a reducible f never has phi = q^deg(f) - 1).
@@ -245,30 +252,46 @@ def _check_max_degree(max_degree: int) -> None:
         raise InvalidInput("max_degree must be >= 1")
 
 
-def _finish(spec: FieldSpec, hits: list[Poly], expand_units: bool) -> list[Poly]:
-    """Guard the sorted monic hits, then optionally expand by units."""
-    bad = hit_structure_violations(spec, hits)
+def _finish(
+    spec: FieldSpec, hits: list[Poly], expand_units: bool
+) -> list[TotientReport]:
+    """Report and guard the sorted monic hits, then optionally expand by
+    units.
+
+    Each monic hit is factored once, with the trial-division oracle: hits
+    exist only over F_2 and F_3, where it is the cheaper exact method.  A
+    unit multiple u*f has the same phi and the factors of f with the unit
+    u, so its report is the monic one with f and the unit replaced.
+    """
+    reports = [_report(f, factor_bruteforce(f)) for f in hits]
+    bad = hit_structure_violations(spec, reports)
     if bad:
         raise VerificationError("; ".join(bad))
     if expand_units:
-        expanded = [f * u for f in hits for u in spec.units()]
-        expanded.sort(key=Poly.sort_key)
+        expanded = [
+            replace(r, f=r.f * u, factorization=replace(r.factorization, unit=u))
+            for r in reports
+            for u in spec.units()
+        ]
+        expanded.sort(key=lambda r: r.f.sort_key())
         return expanded
-    return hits
+    return reports
 
 
-def hit_structure_violations(spec: FieldSpec, hits: list[Poly]) -> list[str]:
-    """Squarefreeness, factor-degree divisibility, and the distinct-factor
-    lower bound floor(log2(q+1)), checked on a finished sweep.
-
-    The hits are factored with the trial-division oracle: hits exist only
-    over F_2 and F_3, where it is the cheaper exact method.
-    """
+def hit_structure_violations(spec: FieldSpec, hits: list[TotientReport]) -> list[str]:
+    """The Lehmer condition (phi divides q^deg - 1, f reducible),
+    squarefreeness, factor-degree divisibility, and the distinct-factor
+    lower bound floor(log2(q+1)), checked on the reports of a finished
+    sweep."""
     min_factors = (spec.q + 1).bit_length() - 1
     bad = []
-    for f in hits:
-        fac = factor_bruteforce(f)
+    for r in hits:
+        f, fac = r.f, r.factorization
         deg = len(f.cv) - 1
+        if not r.divides:
+            bad.append(f"{f}: phi {r.phi} does not divide {r.modulus_value}")
+        if not r.reducible:
+            bad.append(f"{f}: irreducible")
         if not fac.is_squarefree():
             bad.append(f"{f}: not squarefree")
         if any(deg % (len(p.cv) - 1) for p, _ in fac.factors):

@@ -35,15 +35,17 @@ from lehmer_ff.lehmer_search import PRECISION_GAP, c_factor
 from lehmer_ff.suites import (
     COARSE_DEGREES,
     REFINED_DEGREES,
-    divisibility_structure_violations,
-    euler_theorem_violations,
-    exponent_map_violations,
     expected_lehmer_monic,
     suite_bounds,
     suite_cyclo_lemmas,
-    unit_invariance_violations,
 )
 from lehmer_ff.totient import hit_structure_violations
+from properties import (
+    divisibility_structure_violations,
+    euler_theorem_violations,
+    exponent_map_violations,
+    unit_invariance_violations,
+)
 
 
 def verdict(num: int, ok: bool, label: str, elapsed: float | None = None) -> None:
@@ -56,7 +58,7 @@ def test_criterion_01_f2_classification(capsys):
     code = cli_run(["verify", "--suite", "main-theorem", "--q", "2",
                     "--max-degree", "12"])
     f2 = field_from_order(2)
-    found = set(lehmer_set(f2, 12))
+    found = {r.f for r in lehmer_set(f2, 12)}
     elapsed = time.perf_counter() - t0
     expected = expected_lehmer_monic(f2)
     ok = code == 0 and found == expected and len(found) == 6 and elapsed <= 60
@@ -73,12 +75,12 @@ def test_criterion_02_f3_classification(capsys):
     monic = lehmer_set(f3, 8)
     expanded = lehmer_set(f3, 8, expand_units=True)
     elapsed = time.perf_counter() - t0
-    monic_ok = {str(f) for f in monic} == {"x^2+x", "x^2+2*x", "x^2+2"}
+    monic_ok = {str(r.f) for r in monic} == {"x^2+x", "x^2+2*x", "x^2+2"}
     expanded_expected = {
         str(parse_poly(f3, t))
         for t in ("x^2+x", "2*x^2+2*x", "x^2+2*x", "2*x^2+x", "x^2+2", "2*x^2+1")
     }
-    expanded_ok = {str(f) for f in expanded} == expanded_expected
+    expanded_ok = {str(r.f) for r in expanded} == expanded_expected
     ok = monic_ok and expanded_ok and elapsed <= 60
     with capsys.disabled():
         verdict(2, ok, "F_3 sweep to degree 8: three monic hits, six with units", elapsed)
@@ -169,7 +171,7 @@ def test_criterion_07_totient_oracle(capsys):
     for q, max_deg in ((2, 6), (3, 4), (4, 4)):
         spec = field_from_order(q)
         for n in range(1, max_deg + 1):
-            for f in enumerate_polys(spec, n, monic_only=True):
+            for f in enumerate_polys(spec, n):
                 if totient(f) != totient_bruteforce(f):
                     mismatches.append((q, str(f)))
     elapsed = time.perf_counter() - t0

@@ -53,6 +53,29 @@ def test_totient_field_required(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("totient", "x", "--q", "2", "--k", "2"),
+        ("totient", "x", "--q", "4", "--p", "2"),
+        ("totient", "x", "--q", "4", "--p", "2", "--k", "2"),
+        ("lehmer", "--q", "2", "--k", "1", "--max-degree", "4"),
+    ],
+)
+def test_q_with_p_or_k_is_usage_error(capsys, argv):
+    # --q names the whole field, so a --p or --k beside it would be dropped
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: give the field as --q or as --p [--k], not both\n"
+
+
+def test_p_without_k_is_the_prime_field(capsys):
+    code, out, _ = run_cli(capsys, "totient", "x^2+1", "--p", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["q"] == 3
+
+
 def test_totient_bad_poly_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "totient", "x^^2", "--q", "2")
     assert code == 2
@@ -304,6 +327,29 @@ def test_failed_hit_guard_exits_1(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == "" and err == "error: injected\n"
+
+
+@pytest.mark.parametrize(
+    "argv,oracle_calls",
+    [
+        (("lehmer", "--q", "2", "--max-degree", "12"), 6),
+        (("lehmer", "--q", "3", "--max-degree", "8", "--expand-units"), 3),
+    ],
+)
+def test_lehmer_factors_each_monic_hit_once(capsys, monkeypatch, argv, oracle_calls):
+    # each monic hit is factored once, by the trial-division oracle; its
+    # report and those of its unit multiples reuse that factorization
+    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
+    calls = {"_factor_cv": 0, "_factor_cv_bruteforce": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(fpoly_module, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(fpoly_module, name, counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert calls == {"_factor_cv": 0, "_factor_cv_bruteforce": oracle_calls}
 
 
 def test_largest_requests_inside_the_caps_run(capsys):

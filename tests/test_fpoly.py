@@ -27,6 +27,7 @@ from lehmer_ff import (
     poly_powmod,
     totient,
 )
+from properties import all_polys
 
 RNG_SEED = 20260810
 
@@ -177,7 +178,7 @@ def test_sieve_agrees_with_trial_division(f3):
     for d in (2, 3, 4):
         sieved = set(irreducibles(f3, d))
         brute = {
-            f for f in enumerate_polys(f3, d, monic_only=True) if is_irreducible(f)
+            f for f in enumerate_polys(f3, d) if is_irreducible(f)
         }
         assert sieved == brute
 
@@ -207,7 +208,7 @@ def test_factor_zero_raises(f2):
 def test_factor_roundtrip_exhaustive(q, f2, f3, f4):
     spec = {2: f2, 3: f3, 4: f4}[q]
     for n in range(1, 7):
-        for f in enumerate_polys(spec, n, monic_only=False):
+        for f in all_polys(spec, n):
             fac = factor(f)
             assert fac.expand() == f
             assert all(is_irreducible(p) and p.is_monic() for p, _ in fac.factors)
@@ -225,7 +226,7 @@ def test_factor_equals_trial_division_oracle_exhaustive():
         spec = field_from_order(q)
         units = list(spec.units())
         for n in range(1, max_deg + 1):
-            for i, f in enumerate(enumerate_polys(spec, n, monic_only=True)):
+            for i, f in enumerate(enumerate_polys(spec, n)):
                 assert factor(f) == factor_bruteforce(f), (q, str(f))
                 if q in (3, 4):
                     g = f * units[i % len(units)]
@@ -245,7 +246,7 @@ def test_is_irreducible_equals_sieve_membership():
         for n in range(1, 7):
             if q**n <= 4096:
                 irr = set(irreducibles(spec, n))
-                for f in enumerate_polys(spec, n, monic_only=True):
+                for f in enumerate_polys(spec, n):
                     assert is_irreducible(f) == (f in irr), (q, str(f))
             else:
                 for _ in range(100):
@@ -400,17 +401,19 @@ def test_factor_expands_back(q):
 
 
 def test_enumerate_counts(f2, f3):
-    assert len(list(enumerate_polys(f2, 2, monic_only=True))) == 4
-    assert len(list(enumerate_polys(f3, 1, monic_only=False))) == 6
-    assert [str(f) for f in enumerate_polys(f2, 0, monic_only=True)] == ["1"]
+    assert len(list(enumerate_polys(f2, 2))) == 4
+    assert len(list(all_polys(f3, 1))) == 6
+    assert [str(f) for f in enumerate_polys(f2, 0)] == ["1"]
 
 
 def test_enumerate_is_sorted_and_exact_degree(f3):
-    polys = list(enumerate_polys(f3, 2, monic_only=False))
+    polys = list(all_polys(f3, 2))
     assert len(polys) == 2 * 9
     assert all(f.degree == 2 for f in polys)
     encs = [f.encoding() for f in polys]
     assert encs == sorted(encs)
+    # the package's stream is the monic run of the reference enumeration
+    assert list(enumerate_polys(f3, 2)) == [f for f in polys if f.is_monic()]
 
 
 # -- degree sentinel and text -------------------------------------------------

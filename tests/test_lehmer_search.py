@@ -9,7 +9,6 @@ import pytest
 from lehmer_ff import (
     InvalidInput,
     Partition,
-    abundancy,
     c_factor,
     candidate_degrees,
     classify_a_ge_3,
@@ -28,11 +27,15 @@ from lehmer_ff.lehmer_search import (
     _log_enclosure,
     _margins,
     _quartic_root_floor,
-    prop36_partition_allowed,
 )
-from lehmer_ff.suites import (
+from properties import (
+    abundancy,
+    denominator_multiset,
     divisibility_structure_violations,
+    exponent_map_value,
     exponent_map_violations,
+    positive_divisors,
+    prop36_partition_allowed,
 )
 
 # the inequality-based filter, recomputed at 35 and 60 digits (identical):
@@ -104,23 +107,23 @@ def test_exponent_map_examples():
     assert em.exponents == {1: -1, 2: 1}
     em = exponent_map(6, Partition((1, 2, 3)))
     assert em.exponents == {1: -2, 2: 0, 3: 0, 6: 1}
-    assert em.positive_divisors == {6}
-    assert em.denominator_multiset == {}
+    assert positive_divisors(em) == {6}
+    assert denominator_multiset(em) == {}
 
 
 def test_exponent_map_structure():
     em = exponent_map(6, Partition((2, 4)))  # part 4 does not divide 6
     assert em.exponents == {1: -1, 2: -1, 3: 1, 4: -1, 6: 1}
-    assert em.denominator_multiset == {2: 1, 4: 1}
-    assert em.positive_divisors == {3, 6}
+    assert denominator_multiset(em) == {2: 1, 4: 1}
+    assert positive_divisors(em) == {3, 6}
 
 
 def test_exponent_map_value_is_the_quotient():
     em = exponent_map(6, Partition((1, 2, 3)))
-    assert em.value(2) == Fraction(63, 21)
-    assert em.value(2).denominator == 1
+    assert exponent_map_value(em, 2) == Fraction(63, 21)
+    assert exponent_map_value(em, 2).denominator == 1
     em = exponent_map(4, Partition((2, 2)))
-    assert em.value(2) == Fraction(15, 9)
+    assert exponent_map_value(em, 2) == Fraction(15, 9)
 
 
 def test_exponent_map_requires_matching_sum():

@@ -29,6 +29,7 @@ from lehmer_ff import (
 from lehmer_ff import suites as suites_module
 from lehmer_ff.suites import expected_lehmer_monic
 from lehmer_ff.totient import hit_structure_violations, lehmer_shapes
+from properties import all_polys
 
 # the package re-exports the function ``totient`` under the module's name
 totient_module = importlib.import_module("lehmer_ff.totient")
@@ -61,7 +62,7 @@ def test_totient_requires_positive_degree(f2):
 
 
 def test_totient_unit_invariant(f3):
-    for f in enumerate_polys(f3, 3, monic_only=True):
+    for f in enumerate_polys(f3, 3):
         for u in f3.units():
             assert totient(f * u) == totient(f)
 
@@ -94,7 +95,7 @@ def test_bruteforce_cap():
 def test_oracle_equivalence_exhaustive(q, max_deg, f2, f3, f4):
     spec = {2: f2, 3: f3, 4: f4}[q]
     for n in range(1, max_deg + 1):
-        for f in enumerate_polys(spec, n, monic_only=True):
+        for f in enumerate_polys(spec, n):
             assert totient(f) == totient_bruteforce(f), str(f)
 
 
@@ -105,7 +106,7 @@ def sieved(q, max_deg):
     for n in range(1, max_deg + 1):
         row = phi[n]
         assert len(row) == q**n
-        yield from zip(enumerate_polys(spec, n, monic_only=True), row)
+        yield from zip(enumerate_polys(spec, n), row)
 
 
 # irreducibles included: their phi is q^n - 1, which no hit has
@@ -128,7 +129,7 @@ def coprime_residue_count(f):
     return sum(
         poly_gcd(f, g) == one
         for d in range(f.degree)
-        for g in enumerate_polys(f.spec, d, monic_only=False)
+        for g in all_polys(f.spec, d)
     )
 
 
@@ -141,7 +142,7 @@ def test_bruteforce_equals_the_literal_count(q, max_deg, units):
     spec = field_from_order(q)
     scales = list(spec.units()) if units else [spec.element(1)]
     for n in range(1, max_deg + 1):
-        for monic in enumerate_polys(spec, n, monic_only=True):
+        for monic in enumerate_polys(spec, n):
             for u in scales:
                 f = monic * u
                 assert totient_bruteforce(f) == coprime_residue_count(f), str(f)
@@ -197,7 +198,7 @@ def test_main_theorem_scans_each_field_once(monkeypatch):
 
 
 def test_report_divides_iff_modulus_multiple(f3):
-    for f in enumerate_polys(f3, 3, monic_only=True):
+    for f in enumerate_polys(f3, 3):
         rep = totient_report(f)
         assert rep.divides == (rep.modulus_value % rep.phi == 0)
         assert rep.reducible == (rep.factorization.total_multiplicity >= 2)
@@ -205,7 +206,7 @@ def test_report_divides_iff_modulus_multiple(f3):
 
 def test_lehmer_set_f3_monic_and_expanded(f3):
     monic = lehmer_set(f3, 8)
-    assert {str(f) for f in monic} == {"x^2+x", "x^2+2*x", "x^2+2"}
+    assert {str(r.f) for r in monic} == {"x^2+x", "x^2+2*x", "x^2+2"}
     expanded = lehmer_set(f3, 8, expand_units=True)
     expected = {
         str(parse_poly(f3, t))
@@ -215,14 +216,14 @@ def test_lehmer_set_f3_monic_and_expanded(f3):
             "x^2+2", "2*x^2+1",
         )
     }
-    assert {str(f) for f in expanded} == expected
-    keys = [f.sort_key() for f in expanded]
+    assert {str(r.f) for r in expanded} == expected
+    keys = [r.f.sort_key() for r in expanded]
     assert keys == sorted(keys)
 
 
 def test_lehmer_set_f2(f2, lehmer_sets):
     hits = lehmer_sets[2]
-    assert set(hits) == expected_lehmer_monic(f2)
+    assert {r.f for r in hits} == expected_lehmer_monic(f2)
     assert len(hits) == 6
 
 
@@ -232,10 +233,10 @@ def test_lehmer_set_empty_for_larger_fields(lehmer_sets):
 
 
 def test_lehmer_set_matches_per_poly_filter(f3):
-    swept = set(lehmer_set(f3, 4))
+    swept = {r.f for r in lehmer_set(f3, 4)}
     direct = set()
     for n in range(1, 5):
-        for f in enumerate_polys(f3, n, monic_only=True):
+        for f in enumerate_polys(f3, n):
             report = totient_report(f)
             if report.divides and report.reducible:
                 direct.add(f)
@@ -252,7 +253,8 @@ def test_lehmer_set_matches_classification_beyond_oracle_reach():
     t0 = time.perf_counter()
     for q, max_deg in ranges:
         spec = field_from_order(q)
-        assert set(lehmer_set(spec, max_deg)) == expected_lehmer_monic(spec), q
+        found = {r.f for r in lehmer_set(spec, max_deg)}
+        assert found == expected_lehmer_monic(spec), q
     assert time.perf_counter() - t0 < 10
 
 
@@ -299,7 +301,7 @@ def test_lehmer_set_guards_hit_structure(f2, monkeypatch):
 def test_unit_membership_invariance(f2, f3, f4):
     for spec in (f2, f3, f4):
         for n in range(1, 4):
-            for f in enumerate_polys(spec, n, monic_only=True):
+            for f in enumerate_polys(spec, n):
                 report = totient_report(f)
                 for u in spec.units():
                     report_u = totient_report(f * u)
@@ -311,8 +313,33 @@ def test_hits_are_squarefree_with_dividing_degrees(lehmer_sets):
     from lehmer_ff import field_from_order
 
     for q, hits in lehmer_sets.items():
-        for f in hits:
-            fac = factor(f)
+        for r in hits:
+            fac = factor(r.f)
+            assert fac == r.factorization
             assert fac.is_squarefree()
-            assert all(f.degree % p.degree == 0 for p, _ in fac.factors)
+            assert all(r.f.degree % p.degree == 0 for p, _ in fac.factors)
         assert hit_structure_violations(field_from_order(q), hits) == []
+
+
+def test_hit_guard_checks_the_lehmer_condition(f2):
+    # both have the shape of a hit: x^2+x+1 is irreducible, and
+    # x^8+x^4+x^2+x = x(x+1)(x^2+x+1)(x^4+x+1) has phi 45, which does not
+    # divide 2^8 - 1 = 255
+    reports = [totient_report(P(f2, t)) for t in ("x^2+x+1", "x^8+x^4+x^2+x")]
+    assert [str(p) for p, _ in reports[1].factorization.factors] == [
+        "x", "x+1", "x^2+x+1", "x^4+x+1",
+    ]
+    assert hit_structure_violations(f2, reports) == [
+        "x^2+x+1: irreducible",
+        "x^8+x^4+x^2+x: phi 45 does not divide 255",
+    ]
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 12), (3, 8)])
+def test_sweep_reports_equal_the_direct_reports(q, max_deg):
+    # the sweep factors each monic hit once and reuses the factors for
+    # its unit multiples; every report must still be totient_report's
+    spec = field_from_order(q)
+    for expand_units in (False, True):
+        reports = lehmer_set(spec, max_deg, expand_units=expand_units)
+        assert reports == [totient_report(r.f) for r in reports]
