@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: totient, lehmer, cyclotomic, zsigmondy, partitions,
-candidates, verify.  Output formats: text (aligned table), json (with a
-top-level "schema": 1 field), csv (with a header row).  Diagnostics go
-to stderr.
+candidates, verify.  Output formats: text (an aligned table for row
+results, fixed lines otherwise), json (with a top-level "schema": 1
+field), csv (with a header row).  ``_emit`` prints every result;
+diagnostics go to stderr.
 
 Exit codes: 0 success/verified, 1 verification mismatch or failed internal
 cross-check, 2 usage error, 3 resource limit (oracle cap, factoring budget
@@ -15,18 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
+import signal
 import sys
 
 from .cyclo import DEFAULT_FACTORING_BUDGET, cyclotomic, cyclotomic_eval, zsigmondy
-from .errors import (
-    InvalidInput,
-    LehmerFFError,
-    PrecisionAlert,
-    RESOURCE_ERRORS,
-    VerificationError,
-)
+from .errors import InvalidInput, LehmerFFError, RESOURCE_ERRORS, VerificationError
 from .ffield import FieldSpec, field_from_order, field_make
 from .fpoly import parse_poly
 from .intmath import decimal_str, euler_phi
@@ -38,7 +33,7 @@ from .lehmer_search import (
     mersenne_divisibility,
     partitions_of,
 )
-from .suites import SUITE_NAMES, SUITES, run_suite
+from .suites import SUITE_NAMES, run_suite
 from .totient import lehmer_set, totient_report
 
 EXIT_OK = 0
@@ -141,33 +136,30 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-def _emit_records(records: list[dict], fmt: str, columns: list[str]) -> None:
+def _emit(
+    fmt: str, payload: dict, rows: list[dict], columns: list[str], text=None
+) -> None:
+    """Print one result, the only output to stdout: ``payload`` as JSON,
+    ``rows`` as CSV under a header of ``columns``, or as text the lines
+    of ``text`` if given, else ``rows`` as an aligned table."""
     if fmt == "json":
-        print(dump_json({"schema": 1, "rows": records}))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_csv_cell(rec.get(c)) for c in columns])
-        print(buf.getvalue(), end="")
+        print(dump_json({"schema": 1, **payload}))
+    elif fmt == "text" and text is not None:
+        print("\n".join(text))
     else:
-        widths = {
-            c: max(len(c), *(len(str(_csv_cell(r.get(c)))) for r in records))
-            if records
-            else len(c)
-            for c in columns
-        }
-        print("  ".join(c.ljust(widths[c]) for c in columns))
-        for rec in records:
-            print(
-                "  ".join(
-                    str(_csv_cell(rec.get(c))).ljust(widths[c]) for c in columns
-                )
-            )
+        table = [columns] + [[_cell(row.get(c)) for c in columns] for row in rows]
+        if fmt == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(table)
+        else:
+            widths = [max(len(str(cell)) for cell in col) for col in zip(*table)]
+            for line in table:
+                print("  ".join(str(cell).ljust(w) for cell, w in zip(line, widths)))
 
 
-def _csv_cell(value):
+def _cell(value):
+    """A CSV or table cell: a dict as sorted JSON, a list joined by ';'."""
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
     if isinstance(value, list):
         if value and isinstance(value[0], list):  # factor list
             return ";".join(f"{t}|{m}" for t, m in value)
@@ -182,12 +174,8 @@ REPORT_COLUMNS = [
 
 def _cmd_totient(args) -> int:
     spec = _field_from_args(args)
-    f = parse_poly(spec, args.poly)
-    record = totient_report(f).as_record()
-    if args.format == "json":
-        print(dump_json({"schema": 1, **record}))
-    else:
-        _emit_records([record], args.format, REPORT_COLUMNS)
+    record = totient_report(parse_poly(spec, args.poly)).as_record()
+    _emit(args.format, record, [record], REPORT_COLUMNS)
     return EXIT_OK
 
 
@@ -202,57 +190,32 @@ def _cmd_lehmer(args) -> int:
         file=sys.stderr,
     )
     records = [r.as_record() for r in hits]
-    _emit_records(records, args.format, REPORT_COLUMNS)
+    _emit(args.format, {"rows": records}, records, REPORT_COLUMNS)
     return EXIT_OK
 
 
 def _cmd_cyclotomic(args) -> int:
     poly = cyclotomic(args.n)
-    payload = {
-        "schema": 1,
-        "n": args.n,
-        "degree": euler_phi(args.n),
-        "poly": str(poly),
-    }
+    payload = {"n": args.n, "degree": euler_phi(args.n), "poly": str(poly)}
+    line = f"Phi_{args.n} = {poly}"
     if args.eval_at is not None:
         payload["eval_at"] = args.eval_at
         payload["value"] = decimal_str(cyclotomic_eval(args.n, args.eval_at))
-    if args.format == "json":
-        print(dump_json(payload))
-    elif args.format == "csv":
-        cols = [c for c in ("n", "degree", "poly", "eval_at", "value") if c in payload]
-        _emit_records([payload], "csv", cols)
-    else:
-        line = f"Phi_{args.n} = {poly}"
-        if args.eval_at is not None:
-            line += f"; value at {args.eval_at}: {payload['value']}"
-        print(line)
+        line += f"; value at {args.eval_at}: {payload['value']}"
+    _emit(args.format, payload, [payload], list(payload), [line])
     return EXIT_OK
 
 
 def _cmd_zsigmondy(args) -> int:
     result = zsigmondy(args.a, args.b, args.n, factoring_budget=args.factoring_budget)
-    record = result.as_record()
-    if args.format == "json":
-        print(dump_json({"schema": 1, **record}))
-    elif args.format == "csv":
-        _emit_records(
-            [record],
-            "csv",
-            ["a", "b", "n", "primitive_primes", "exception", "primitive_part"],
-        )
+    line = f"{args.a}^{args.n} - {args.b}^{args.n}: "
+    if result.exception:
+        line += f"no primitive prime divisor (exception {result.exception})"
     else:
-        if result.exception:
-            print(
-                f"{args.a}^{args.n} - {args.b}^{args.n}: no primitive prime "
-                f"divisor (exception {result.exception})"
-            )
-        else:
-            primes = ", ".join(str(p) for p in result.primitive_primes)
-            print(
-                f"{args.a}^{args.n} - {args.b}^{args.n}: primitive primes "
-                f"{{{primes}}}, primitive part {result.primitive_part}"
-            )
+        primes = ", ".join(str(p) for p in result.primitive_primes)
+        line += f"primitive primes {{{primes}}}, primitive part {result.primitive_part}"
+    record = result.as_record()
+    _emit(args.format, record, [record], list(record), [line])
     return EXIT_OK
 
 
@@ -271,74 +234,52 @@ def _cmd_partitions(args) -> int:
         else:
             rows = [(part, True) for part in lehmer_partitions(args.a, n)]
         for part, divides in rows:
+            exponents = exponent_map(n, part)
             records.append(
                 {
                     "a": args.a,
                     "n": n,
                     "parts": list(part.parts),
                     "divides": divides,
-                    "exponent_map": exponent_map(n, part).as_record(),
+                    "exponent_map": {str(d): e for d, e in exponents.items()},
                 }
             )
-    if args.format == "json":
-        print(dump_json({"schema": 1, "rows": records}))
-    else:
-        flat = [
-            {**r, "exponent_map": json.dumps(r["exponent_map"], sort_keys=True)}
-            for r in records
-        ]
-        _emit_records(flat, args.format, ["a", "n", "parts", "divides", "exponent_map"])
+    columns = ["a", "n", "parts", "divides", "exponent_map"]
+    _emit(args.format, {"rows": records}, records, columns)
     return EXIT_OK
 
 
 def _cmd_candidates(args) -> int:
-    coarse, refined = candidate_degrees(args.n_max)
-    payload = {
-        "schema": 1,
-        "n_max": args.n_max,
-        "coarse": sorted(coarse),
-        "refined": sorted(refined),
-    }
-    if args.format == "json":
-        print(dump_json(payload))
-    elif args.format == "csv":
-        rows = [{"set": "coarse", "n": n} for n in sorted(coarse)]
-        rows += [{"set": "refined", "n": n} for n in sorted(refined)]
-        _emit_records(rows, "csv", ["set", "n"])
-    else:
-        print("coarse: ", ", ".join(map(str, sorted(coarse))))
-        print("refined:", ", ".join(map(str, sorted(refined))))
+    coarse, refined = map(sorted, candidate_degrees(args.n_max))
+    rows = [{"set": "coarse", "n": n} for n in coarse]
+    rows += [{"set": "refined", "n": n} for n in refined]
+    text = [
+        "coarse:  " + ", ".join(map(str, coarse)),
+        "refined: " + ", ".join(map(str, refined)),
+    ]
+    payload = {"n_max": args.n_max, "coarse": coarse, "refined": refined}
+    _emit(args.format, payload, rows, ["set", "n"], text)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise LehmerFFError("workers must be >= 1")
     options = {key: getattr(args, key) for key in ("q", "max_degree", "n_max", "a_max")}
-    reads = SUITES[args.suite][1]
-    unread = [key for key, v in options.items() if v is not None and key not in reads]
-    if unread:
-        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
-        raise LehmerFFError(f"suite {args.suite} does not read {flags}")
-    report = run_suite(args.suite, **options)
-    if args.format == "json":
-        print(dump_json(report.as_payload()))
-    elif args.format == "csv":
-        rows = [c.as_record() for c in report.checks]
-        for r in rows:
-            for key in ("expected", "found"):
-                if key in r:
-                    r[key] = json.dumps(r[key], sort_keys=True)
-        _emit_records(rows, "csv", ["label", "ok", "expected", "found"])
-    else:
-        for check in report.checks:
-            print(f"{'PASS' if check.ok else 'FAIL'}  {check.label}")
-            if not check.ok:
-                expected = check.as_record().get("expected")
-                found = check.as_record().get("found")
-                print(f"      expected: {expected}")
-                print(f"      found:    {found}")
-        print(f"suite {report.suite}: {'ok' if report.ok else 'MISMATCH'}")
+    report = run_suite(args.suite, workers=args.workers, **options)
+    payload = report.as_payload()
+    rows, text = [], []
+    for record in payload["checks"]:
+        text.append(f"{'PASS' if record['ok'] else 'FAIL'}  {record['label']}")
+        if not record["ok"]:
+            text.append(f"      expected: {record['expected']}")
+            text.append(f"      found:    {record['found']}")
+            record = {
+                **record,
+                "expected": json.dumps(record["expected"], sort_keys=True),
+                "found": json.dumps(record["found"], sort_keys=True),
+            }
+        rows.append(record)
+    text.append(f"suite {report.suite}: {'ok' if report.ok else 'MISMATCH'}")
+    _emit(args.format, payload, rows, ["label", "ok", "expected", "found"], text)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -361,7 +302,7 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (*RESOURCE_ERRORS, PrecisionAlert) as exc:
+    except RESOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationError as exc:
@@ -373,6 +314,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> int:
+    # a closed stdout (``lehmer-ff ... | head``) ends the process by SIGPIPE,
+    # as it does other filters, rather than by a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(sys.argv[1:])
 
 

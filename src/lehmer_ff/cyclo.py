@@ -208,6 +208,8 @@ def zsigmondy(
     smallest k with p | a^k - b^k is n itself.
     """
     _check_zsigmondy_args(a, b, n)
+    if factoring_budget < 1:
+        raise InvalidInput(f"factoring budget must be >= 1, got {factoring_budget}")
     value = a**n - b**n
     if value > factoring_budget:
         raise FactoringBudgetExceeded(

@@ -70,5 +70,8 @@ class VerificationError(LehmerFFError):
     """An internal invariant that should hold unconditionally was violated."""
 
 
-#: Errors that signal a resource/limit problem rather than bad input.
-RESOURCE_ERRORS = (OracleOverflow, FactoringBudgetExceeded, SizeCapExceeded)
+#: Errors that signal a resource/limit problem rather than bad input (exit 3);
+#: a comparison too close to call counts as one.
+RESOURCE_ERRORS = (
+    OracleOverflow, FactoringBudgetExceeded, SizeCapExceeded, PrecisionAlert
+)

@@ -130,28 +130,18 @@ def classify_a_ge_3(a_max: int, n_max: int) -> list[tuple[int, Partition]]:
     ]
 
 
-@dataclass(frozen=True)
-class ExponentMap:
-    """Cyclotomic exponents of (x^n - 1) / prod(x^{e_i} - 1)."""
-
-    n: int
-    part: Partition
-    exponents: dict[int, int]
-
-    def as_record(self) -> dict:
-        return {str(d): e for d, e in sorted(self.exponents.items())}
-
-
-def exponent_map(n: int, part: Partition) -> ExponentMap:
+def exponent_map(n: int, part: Partition) -> dict[int, int]:
+    """Cyclotomic exponents {d: exponent(d)} of (x^n - 1) / prod(x^{e_i} - 1),
+    in ascending d."""
     if part.n != n:
         raise InvalidInput(f"{part} does not partition {n}")
     relevant: set[int] = set(divisors(n))
     for e in part.parts:
         relevant.update(divisors(e))
-    exps = {}
-    for d in sorted(relevant):
-        exps[d] = (1 if n % d == 0 else 0) - sum(1 for e in part.parts if e % d == 0)
-    return ExponentMap(n=n, part=part, exponents=exps)
+    return {
+        d: (1 if n % d == 0 else 0) - sum(1 for e in part.parts if e % d == 0)
+        for d in sorted(relevant)
+    }
 
 
 def c_factor(n: int) -> Fraction:

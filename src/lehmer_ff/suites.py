@@ -85,7 +85,6 @@ class SuiteReport:
 
     def as_payload(self) -> dict:
         return {
-            "schema": 1,
             "suite": self.suite,
             "ok": self.ok,
             "checks": [c.as_record() for c in self.checks],
@@ -378,14 +377,21 @@ def suite_oracle() -> SuiteReport:
     return report
 
 
-def run_suite(name: str, **kwargs) -> SuiteReport:
-    """Run a suite by name.  An option left out or None takes the suite's
-    default, and every option given must be >= 1; keywords the suite does
-    not read (``workers`` among them) are ignored."""
+def run_suite(name: str, workers: int = 1, **options) -> SuiteReport:
+    """Run a suite by name.  ``workers`` must be >= 1 and is ignored: every
+    suite runs in one process.  An option left out or None takes the
+    suite's default; one the suite does not read, or one below 1, raises
+    InvalidInput."""
     if name not in SUITES:
         raise InvalidInput(f"unknown suite {name!r}")
+    if workers < 1:
+        raise InvalidInput("workers must be >= 1")
     suite, reads = SUITES[name]
-    opts = {key: kwargs[key] for key in reads if kwargs.get(key) is not None}
+    unread = [key for key, v in options.items() if v is not None and key not in reads]
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise InvalidInput(f"suite {name} does not read {flags}")
+    opts = {key: options[key] for key in reads if options.get(key) is not None}
     for key, value in opts.items():
         if value < 1:
             raise InvalidInput(f"{key} must be >= 1, got {value}")

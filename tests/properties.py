@@ -57,18 +57,18 @@ def int_poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def positive_divisors(emap) -> set[int]:
     """Divisors d > 1 appearing with exponent +1 (the numerator set)."""
-    return {d for d, e in emap.exponents.items() if d > 1 and e > 0}
+    return {d for d, e in emap.items() if d > 1 and e > 0}
 
 
 def denominator_multiset(emap) -> dict[int, int]:
     """d >= 2 with negative exponent, mapped to its multiplicity."""
-    return {d: -e for d, e in emap.exponents.items() if d >= 2 and e < 0}
+    return {d: -e for d, e in emap.items() if d >= 2 and e < 0}
 
 
 def exponent_map_value(emap, a: int) -> Fraction:
     """Exact rational value of the exponent map's quotient at x = a."""
     out = Fraction(1)
-    for d, e in sorted(emap.exponents.items()):
+    for d, e in sorted(emap.items()):
         if e:
             out *= Fraction(cyclotomic_eval(d, a)) ** e
     return out

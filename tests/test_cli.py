@@ -1,10 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -494,6 +497,18 @@ def test_run_suite_defaults_only_missing_options():
         run_suite("main-theorem", q=2, max_degree=0)
 
 
+def test_run_suite_checks_every_option():
+    from lehmer_ff.suites import run_suite
+
+    with pytest.raises(InvalidInput, match="^suite oracle does not read --n-max$"):
+        run_suite("oracle", n_max=3)
+    with pytest.raises(InvalidInput, match="^workers must be >= 1$"):
+        run_suite("oracle", workers=0, n_max=3)
+    # options the suite reads are checked in the order it lists them
+    with pytest.raises(InvalidInput, match="^a_max must be >= 1, got 0$"):
+        run_suite("prop31", n_max=0, a_max=0)
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
@@ -548,6 +563,37 @@ def test_options_do_not_leak_into_the_next_call(capsys):
     assert "n <= 30" in after[1]  # the default n_max, not the 12 before
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_factoring_budget_below_one_is_a_usage_error(capsys, budget):
+    # no budget below 1 admits any value, so it is bad input, not a limit
+    code, out, err = run_cli(
+        capsys, "zsigmondy", "--a", "2", "--n", "3", "--factoring-budget", budget
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: factoring budget must be >= 1, got {budget}\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_quietly_by_sigpipe():
+    # 117 KB of rows, more than a pipe buffer holds, so the writer meets
+    # the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lehmer_ff.cli", "partitions", "--a", "2",
+         "--n-max", "16", "--all"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert b"Traceback" not in err
+
+
 # -- no runtime dependency -----------------------------------------------------
 
 # a fresh interpreter: the test process itself imports mpmath as an oracle
@@ -578,3 +624,130 @@ def test_cli_runs_without_loading_mpmath():
     assert proc.returncode == 0, proc.stderr
     # bounds exits 1 on the known counterexamples of criterion 10
     assert json.loads(proc.stdout) == {"codes": [0, 0, 1], "mpmath": False}
+
+
+# -- pinned output bytes -------------------------------------------------------
+
+FORMAT_VARIANTS = (("--format", "text"), ("--format", "json"), ("--format", "csv"))
+
+
+def _in_formats(*argvs):
+    return [(*argv, *fmt) for argv in argvs for fmt in FORMAT_VARIANTS]
+
+
+# calls whose (argv, exit code, stdout, stderr) are pinned, by subcommand:
+# every format, and the package's own usage and limit errors
+PINNED_CALLS = {
+    "totient": _in_formats(
+        ("totient", "x^4+x", "--q", "2"),
+        ("totient", "(t+1)*x^2+t*x+1", "--p", "2", "--k", "2"),
+        ("totient", "2*x^3+x+1", "--q", "9"),
+    ) + [
+        ("totient", "x^2+x"),
+        ("totient", "x^^2", "--q", "2"),
+        ("totient", "1", "--q", "2"),
+        ("totient", "x", "--q", "4", "--p", "2"),
+        ("totient", "x+1", "--q", "1000000007"),
+        ("totient", "x+1", "--q", "6"),
+    ],
+    "lehmer": _in_formats(
+        ("lehmer", "--q", "2", "--max-degree", "12"),
+        ("lehmer", "--q", "3", "--max-degree", "8", "--expand-units"),
+        ("lehmer", "--p", "2", "--k", "2", "--max-degree", "6", "--workers", "1"),
+    ) + [
+        ("lehmer", "--q", "2", "--max-degree", "4", "--workers", "0"),
+        ("lehmer", "--q", "2", "--k", "1", "--max-degree", "4"),
+        ("lehmer", "--max-degree", "4"),
+    ],
+    "cyclotomic": _in_formats(
+        ("cyclotomic", "--n", "12"),
+        ("cyclotomic", "--n", "1"),
+        ("cyclotomic", "--n", "6", "--eval", "2"),
+        ("cyclotomic", "--n", "105", "--eval", "-3"),
+    ) + [
+        ("cyclotomic", "--n", "0"),
+        ("cyclotomic", "--n", "65537"),
+        ("cyclotomic", "--n", "65536", "--eval", "1000000"),
+    ],
+    "zsigmondy": _in_formats(
+        ("zsigmondy", "--a", "2", "--n", "11"),
+        ("zsigmondy", "--a", "2", "--n", "6"),
+        ("zsigmondy", "--a", "3", "--n", "2"),
+        ("zsigmondy", "--a", "5", "--b", "3", "--n", "12"),
+    ) + [
+        ("zsigmondy", "--a", "2", "--b", "4", "--n", "3"),
+        ("zsigmondy", "--a", "2", "--n", "1"),
+        ("zsigmondy", "--a", "2", "--n", "40", "--factoring-budget", "1000"),
+    ],
+    "partitions": _in_formats(
+        ("partitions", "--a", "3", "--n-max", "8"),
+        ("partitions", "--a", "4", "--n-max", "6", "--all"),
+        ("partitions", "--a", "2", "--n-max", "2"),
+    ) + [
+        ("partitions", "--a", "1", "--n-max", "5"),
+        ("partitions", "--a", "3", "--n-max", "1"),
+    ],
+    "candidates": _in_formats(("candidates", "--n-max", "60")) + [
+        ("candidates", "--n-max", "5"),
+        ("candidates", "--n-max", "10001"),
+    ],
+    "verify": _in_formats(
+        ("verify", "--suite", "main-theorem", "--q", "2", "--max-degree", "6"),
+        ("verify", "--suite", "main-theorem", "--q", "3", "--max-degree", "4"),
+        ("verify", "--suite", "prop31"),
+        ("verify", "--suite", "prop36", "--n-max", "20"),
+        ("verify", "--suite", "bounds", "--n-max", "2000"),
+    ) + [
+        ("verify", "--suite", "main-theorem", "--format", "json"),
+        ("verify", "--suite", "cyclo-lemmas"),
+        ("verify", "--suite", "oracle", "--format", "json"),
+        ("verify", "--suite", "oracle", "--q", "2"),
+        ("verify", "--suite", "prop36", "--n-max", "0"),
+        ("verify", "--suite", "prop31", "--workers", "0"),
+        ("verify", "--suite", "main-theorem", "--q", "5", "--max-degree", "9"),
+        ("verify", "--suite", "bounds", "--n-max", "1000001"),
+    ],
+}
+
+# sha256 over the calls of each subcommand
+PINNED_DIGESTS = {
+    "totient": "c5621ca59c064488e0b376051983034b4f55f367740ce6c57bb545b8bab42c07",
+    "lehmer": "3fe0a08f6ba8c757f3270bcd1b88def500dff085b01c257a46ea45fda61b4565",
+    "cyclotomic": "7be0aef6518e7ad496f854fa54476a96a4f7620c9afc47f4300a6bd0f68e1c9b",
+    "zsigmondy": "eaea8c9beafabb5171680cf6991713c0774d625cff9082012a8ded9700e01c68",
+    "partitions": "51de79471a54c98d6394b7af686b0a108875eb63cccbd0c65b874c7546088542",
+    "candidates": "265d7182b602c16f2d097d3f13ef041ff27e20125179aaf0613cdc7505eed87d",
+    "verify": "07532dd3db4c654458cea9d1c64e6405edc5caeefd50030d428513ff6069f09b",
+}
+
+# argparse words its errors differently across Python versions, so only
+# the exit code of these calls is pinned
+ARGPARSE_ERRORS = [
+    ("cyclotomic", "--n"),
+    ("totient", "x", "--nope"),
+    ("partitions", "--a", "4", "--n-max", "x"),
+    ("lehmer", "--q", "2", "--max-degree", "4", "--format", "xml"),
+    ("verify", "--suite", "nope"),
+    ("nope",),
+]
+
+
+def output_digest(calls) -> str:
+    digest = hashlib.sha256()
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+        record = [list(argv), code, out.getvalue(), err.getvalue()]
+        digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_output_bytes_are_pinned():
+    # a refactor of the output path must leave every byte as it is; a
+    # changed digest names its subcommand in the dict diff
+    digests = {command: output_digest(calls) for command, calls in PINNED_CALLS.items()}
+    assert digests == PINNED_DIGESTS
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [run(list(argv)) for argv in ARGPARSE_ERRORS]
+    assert codes == [2] * len(ARGPARSE_ERRORS)

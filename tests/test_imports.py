@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every name the package exports is read outside its own module."""
+every name the package exports is read outside its own module, and only
+the CLI's renderer writes to stdout."""
 
 import ast
 from pathlib import Path
@@ -21,7 +22,7 @@ NAMED_ORACLES = {
 }
 # types and values that public functions return, exported so that callers
 # can name them
-RETURNED = {"ExponentMap", "IntPoly", "NEG_INF", "TotientReport", "ZsigmondyResult"}
+RETURNED = {"IntPoly", "NEG_INF", "TotientReport", "ZsigmondyResult"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -99,3 +100,88 @@ def test_every_export_is_read_outside_its_module():
 
 def test_listed_exports_exist():
     assert (NAMED_ORACLES | RETURNED) <= set(exports())
+
+
+# -- the output boundary -------------------------------------------------------
+
+CLI = PACKAGE / "cli.py"
+RENDERER = "_emit"
+OUTPUT_MODULES = {"csv", "io", "json"}
+
+
+def _is_print(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    )
+
+
+def output_uses(source: str) -> list[str]:
+    """The ``print`` calls and the imports of csv, io or json in a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if _is_print(node):
+            found.append(f"print at line {node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in OUTPUT_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module in OUTPUT_MODULES:
+            found.append(node.module)
+    return found
+
+
+def _writes_stdout(node) -> bool:
+    """A ``print`` with no ``file=``, or a read of ``sys.stdout``."""
+    if _is_print(node):
+        return not any(k.arg == "file" for k in node.keywords)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
+
+
+def stdout_writes_outside(source: str, renderer: str) -> list[int]:
+    """Lines that write to stdout outside the function ``renderer``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == renderer
+        for node in ast.walk(func)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside and _writes_stdout(node)
+    )
+
+
+def test_output_rules_find_what_they_name():
+    source = (
+        "import io, os\n"
+        "from json import dumps\n"
+        "def render(x):\n"
+        "    print(x)\n"
+        "    sys.stdout.write(x)\n"
+        "def run(x):\n"
+        "    print(x, file=sys.stderr)\n"
+        "    print(x)\n"
+        "    w = csv.writer(sys.stdout)\n"
+    )
+    assert output_uses(source) == [
+        "io", "json", "print at line 4", "print at line 7", "print at line 8",
+    ]
+    assert stdout_writes_outside(source, "render") == [8, 9]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {CLI}), ids=lambda p: p.name
+)
+def test_only_the_cli_prints_or_serializes(path):
+    assert output_uses(path.read_text()) == []
+
+
+def test_only_the_renderer_writes_to_stdout():
+    assert stdout_writes_outside(CLI.read_text(), RENDERER) == []

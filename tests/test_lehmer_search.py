@@ -102,18 +102,18 @@ def test_no_solutions_for_base_4_alone():
 
 def test_exponent_map_examples():
     em = exponent_map(4, Partition((1, 1, 2)))
-    assert em.exponents == {1: -2, 2: 0, 4: 1}
+    assert em == {1: -2, 2: 0, 4: 1}
     em = exponent_map(2, Partition((1, 1)))
-    assert em.exponents == {1: -1, 2: 1}
+    assert em == {1: -1, 2: 1}
     em = exponent_map(6, Partition((1, 2, 3)))
-    assert em.exponents == {1: -2, 2: 0, 3: 0, 6: 1}
+    assert em == {1: -2, 2: 0, 3: 0, 6: 1}
     assert positive_divisors(em) == {6}
     assert denominator_multiset(em) == {}
 
 
 def test_exponent_map_structure():
     em = exponent_map(6, Partition((2, 4)))  # part 4 does not divide 6
-    assert em.exponents == {1: -1, 2: -1, 3: 1, 4: -1, 6: 1}
+    assert em == {1: -1, 2: -1, 3: 1, 4: -1, 6: 1}
     assert denominator_multiset(em) == {2: 1, 4: 1}
     assert positive_divisors(em) == {3, 6}
 
