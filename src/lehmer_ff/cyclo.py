@@ -11,13 +11,12 @@ a factor may vanish, it comes from the coefficients.  Nothing is
 memoized, and oversized indices and values raise ``SizeCapExceeded``.
 
 A prime p | a^n - b^n is *primitive* when p divides no a^k - b^k with
-1 <= k < n.  ``zsigmondy`` factors a^n - b^n (deterministic trial
-division within a budget) and classifies each prime p by the order of
-a/b mod p, the first k with p | a^k - b^k.  ``primitive_part`` computes
-the product of primitive prime powers without factoring anything: the
-only prime that can divide both n and the homogeneous value Phi_n(a, b)
-is the largest prime factor of n, and stripping it leaves exactly the
-primitive part.  The two routes are cross-checked in the test suite.
+1 <= k < n.  ``primitive_part`` computes the product of primitive prime
+powers without factoring anything: the only prime that can divide both
+n and the homogeneous value Phi_n(a, b) is the largest prime factor of
+n, and stripping it leaves exactly the primitive part.  ``zsigmondy``
+reads the primitive primes off that part by deterministic trial
+division, within a budget on a^n - b^n.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationError,
 )
-from .intmath import (
-    divisors,
-    factorize,
-    largest_prime_factor,
-    mobius_divisors,
-)
+from .intmath import factorize, largest_prime_factor, mobius_divisors
 
 DEFAULT_FACTORING_BUDGET = 1 << 64
 # about 17x and 13x the largest index and value any suite or test uses
@@ -198,33 +192,34 @@ def _check_zsigmondy_args(a: int, b: int, n: int) -> None:
         raise InvalidInput("need n >= 2")
 
 
+def _exceeds_budget(a: int, b: int, n: int, budget: int) -> bool:
+    """a^n - b^n > budget, with the clear cases decided from bit lengths
+    by a^(n-1) <= a^n - b^n < a^n, so a huge n costs no power."""
+    bits = budget.bit_length()
+    if (a.bit_length() - 1) * (n - 1) >= bits:  # a^(n-1) >= 2^bits > budget
+        return True
+    if a.bit_length() * n < bits:  # a^n < 2^(bits-1) <= budget
+        return False
+    return a**n - b**n > budget
+
+
 def zsigmondy(
     a: int, b: int, n: int, factoring_budget: int = DEFAULT_FACTORING_BUDGET
 ) -> ZsigmondyResult:
-    """Classify the prime divisors of a^n - b^n as primitive or algebraic.
+    """The primitive prime divisors of a^n - b^n and their product.
 
-    a^n - b^n is fully factored (trial division, piece by piece along its
-    cyclotomic decomposition); each prime p is primitive exactly when the
-    smallest k with p | a^k - b^k is n itself.
+    Factors only the primitive part, whose primes are exactly the primes
+    p of a^n - b^n with p dividing no a^k - b^k for k < n.
     """
     _check_zsigmondy_args(a, b, n)
     if factoring_budget < 1:
         raise InvalidInput(f"factoring budget must be >= 1, got {factoring_budget}")
-    value = a**n - b**n
-    if value > factoring_budget:
+    if _exceeds_budget(a, b, n, factoring_budget):
         raise FactoringBudgetExceeded(
             f"{a}^{n} - {b}^{n} exceeds the factoring budget {factoring_budget}"
         )
-    exponents: dict[int, int] = {}
-    for d in divisors(n):
-        for p, e in factorize(cyclotomic_eval_pair(d, a, b)).items():
-            exponents[p] = exponents.get(p, 0) + e
-    primitive = []
-    part = 1
-    for p in sorted(exponents):
-        if _first_dividing_index(a, b, p, n) == n:
-            primitive.append(p)
-            part *= p ** exponents[p]
+    part = primitive_part(a, b, n)
+    primitive = tuple(sorted(factorize(part)))
     exception = None
     if (a, b, n) == (2, 1, 6):
         exception = EXCEPTION_N6
@@ -238,17 +233,7 @@ def zsigmondy(
         a=a,
         b=b,
         n=n,
-        primitive_primes=tuple(primitive),
+        primitive_primes=primitive,
         exception=exception,
         primitive_part=part,
     )
-
-
-def _first_dividing_index(a: int, b: int, p: int, n: int) -> int:
-    """Smallest k with p | a^k - b^k for a prime p of a^n - b^n: as p
-    divides neither a nor b, the order of a/b mod p, a divisor of n."""
-    r = a * pow(b, -1, p) % p
-    for d in divisors(n):
-        if pow(r, d, p) == 1:
-            return d
-    raise VerificationError(f"{p} does not divide {a}^{n} - {b}^{n}")  # pragma: no cover

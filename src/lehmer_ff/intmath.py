@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InvalidInput, UndefinedValuation
+from .errors import InvalidInput, UndefinedValuation, VerificationError
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -74,16 +74,15 @@ def factorize(n: int) -> dict[int, int]:
 
 def _trial_factor(n: int) -> int:
     # n composite with no factor <= 199; scan 6k +/- 1 candidates.
-    c = 211
-    step = 2  # alternates 2, 4 to skip multiples of 2 and 3
+    c = 211  # 6k + 1
+    step = 4  # alternates 4, 2: 6k + 1 -> 6k + 5 -> 6(k + 1) + 1
     lim = isqrt(n)
     while c <= lim:
         if n % c == 0:
             return c
         c += step
         step = 6 - step
-    # unreachable for composite n, kept as a guard
-    return n
+    raise VerificationError(f"no factor of the composite {n} up to its square root")
 
 
 def divisors(n: int) -> list[int]:

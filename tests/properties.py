@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from lehmer_ff import (
     FieldSpec,
@@ -27,9 +27,15 @@ from lehmer_ff import (
     totient,
     totient_report,
 )
-from lehmer_ff.cyclo import IntPoly
+from lehmer_ff.cyclo import (
+    EXCEPTION_N6,
+    EXCEPTION_POWER_OF_TWO_SUM,
+    IntPoly,
+    ZsigmondyResult,
+    cyclotomic_eval_pair,
+)
 from lehmer_ff.fpoly import _decode_cv
-from lehmer_ff.intmath import sigma
+from lehmer_ff.intmath import divisors, factorize, sigma
 
 # ---------------------------------------------------------------------------
 # reference helpers
@@ -94,6 +100,37 @@ def prop36_partition_allowed(part: Partition) -> bool:
         elif u * d > 2**d - 1:
             return False
     return True
+
+
+def first_dividing_index(a: int, b: int, p: int, n: int) -> int:
+    """Smallest k with p | a^k - b^k for a prime p of a^n - b^n: as p
+    divides neither a nor b, the order of a/b mod p, a divisor of n."""
+    r = a * pow(b, -1, p) % p
+    for d in divisors(n):
+        if pow(r, d, p) == 1:
+            return d
+    raise AssertionError(f"{p} does not divide {a}^{n} - {b}^{n}")
+
+
+def zsigmondy_by_orders(a: int, b: int, n: int) -> ZsigmondyResult:
+    """Oracle for ``zsigmondy``: factor every piece Phi_d(a, b), d | n, of
+    a^n - b^n and keep each prime whose order of a/b is n itself."""
+    exponents: dict[int, int] = {}
+    for d in divisors(n):
+        for p, e in factorize(cyclotomic_eval_pair(d, a, b)).items():
+            exponents[p] = exponents.get(p, 0) + e
+    primitive = [p for p in sorted(exponents) if first_dividing_index(a, b, p, n) == n]
+    exception = None
+    if not primitive:
+        exception = EXCEPTION_N6 if n == 6 else EXCEPTION_POWER_OF_TWO_SUM
+    return ZsigmondyResult(
+        a=a,
+        b=b,
+        n=n,
+        primitive_primes=tuple(primitive),
+        exception=exception,
+        primitive_part=prod(p ** exponents[p] for p in primitive),
+    )
 
 
 # ---------------------------------------------------------------------------

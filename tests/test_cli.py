@@ -166,6 +166,15 @@ def test_zsigmondy_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("n", ["10000000", "100000000"])
+def test_over_budget_zsigmondy_exits_3_at_once(capsys, n):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "zsigmondy", "--a", "3", "--n", n)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == ""
+    assert err == f"error: 3^{n} - 1^{n} exceeds the factoring budget {2**64}\n"
+
+
 def test_zsigmondy_bad_args_exit_code(capsys):
     assert run_cli(capsys, "zsigmondy", "--a", "2", "--b", "4", "--n", "3")[0] == 2
 

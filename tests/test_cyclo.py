@@ -1,7 +1,7 @@
 """Cyclotomic values, valuations, and primitive prime divisors."""
 
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -15,7 +15,7 @@ from lehmer_ff import (
     primitive_part,
     zsigmondy,
 )
-from lehmer_ff.cyclo import _first_dividing_index, cyclotomic_eval_pair
+from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, cyclotomic_eval_pair
 from lehmer_ff.intmath import (
     divisors,
     euler_phi,
@@ -28,6 +28,7 @@ from lehmer_ff.intmath import (
     sigma_sieve,
     valuation,
 )
+from properties import first_dividing_index, zsigmondy_by_orders
 
 
 def test_mobius_divisors_match_the_definition():
@@ -47,6 +48,27 @@ def test_mobius_divisors_match_the_definition():
         expected = {d: mu(n // d) for d in range(1, n + 1) if n % d == 0}
         assert len(terms) == len(dict(terms)), n
         assert dict(terms) == {d: m for d, m in expected.items() if m}, n
+
+
+def test_factorize_matches_a_smallest_prime_factor_sieve():
+    """Every n < 2^17, which covers every cyclotomic index up to the cap;
+    51529 = 227^2 is the first n that a wheel missing the 6k + 5
+    candidates reports as prime."""
+    limit = 1 << 17
+    assert limit > INDEX_CAP
+    spf = list(range(limit))
+    for d in range(2, isqrt(limit - 1) + 1):
+        if spf[d] == d:
+            for m in range(d * d, limit, d):
+                if spf[m] == m:
+                    spf[m] = d
+    for n in range(2, limit):
+        expected: dict[int, int] = {}
+        m = n
+        while m > 1:
+            expected[spf[m]] = expected.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert factorize(n) == expected, n
 
 
 def test_sigma_phi_sieve_matches_factoring():
@@ -72,6 +94,11 @@ def test_cyclotomic_known_polynomials():
 def test_cyclotomic_degree_is_phi():
     for n in range(1, 201):
         assert cyclotomic(n).degree == euler_phi(n)
+
+
+def test_cyclotomic_degree_at_a_product_of_two_primes_above_the_small_primes():
+    # 51983 = 227 * 229, so phi = 226 * 228
+    assert cyclotomic(51983).degree == 51528
 
 
 def test_cyclotomic_rejects_nonpositive():
@@ -157,6 +184,12 @@ def test_zsigmondy_generic_cases():
     assert r.primitive_primes == (23, 89) and r.primitive_part == 2047
 
 
+def test_zsigmondy_splits_composites_that_have_no_small_factor():
+    # 256999 = 233 * 1103 and 7454981 = 311 * 23971
+    assert zsigmondy(2, 1, 29).primitive_primes == (233, 1103, 2089)
+    assert zsigmondy(52, 1, 5).primitive_primes == (311, 23971)
+
+
 def test_zsigmondy_primes_satisfy_definition():
     for a, b, n in ((2, 1, 10), (3, 1, 8), (3, 2, 9), (10, 1, 6), (5, 2, 7)):
         r = zsigmondy(a, b, n)
@@ -183,9 +216,26 @@ def test_first_dividing_index_equals_the_linear_scan():
                     primes |= set(factorize(value))
                 for p in primes:
                     k = next(k for k in range(1, n + 1) if (a**k - b**k) % p == 0)
-                    assert _first_dividing_index(a, b, p, n) == k, (a, b, n, p)
+                    assert first_dividing_index(a, b, p, n) == k, (a, b, n, p)
                     checked += 1
     assert checked > 7_000
+
+
+def test_zsigmondy_equals_the_order_oracle():
+    """Full records against factoring every piece Phi_d(a, b), d | n, and
+    keeping the primes of order n, wherever a^n - b^n < 2^40."""
+    checked = 0
+    for a in range(2, 13):
+        for b in range(1, a):
+            if gcd(a, b) != 1:
+                continue
+            for n in range(2, 41):
+                if a**n - b**n >= 1 << 40:
+                    break
+                expected = zsigmondy_by_orders(a, b, n).as_record()
+                assert zsigmondy(a, b, n).as_record() == expected, (a, b, n)
+                checked += 1
+    assert checked > 500
 
 
 def test_oversized_values_fail_before_any_work():
@@ -217,6 +267,23 @@ def test_zsigmondy_budget():
         zsigmondy(2, 1, 40, factoring_budget=1000)
     # raising the budget makes the same call succeed
     assert zsigmondy(2, 1, 40).primitive_primes == (61681,)
+
+
+def test_budget_check_equals_the_exact_comparison():
+    # budgets on both sides of a^n - b^n and of each power of two nearby,
+    # where the bit-length shortcuts hand over to the exact value
+    for a in (2, 3, 4, 5, 7, 8, 15, 16, 17, 255, 256, 257):
+        for b in (1, a - 1):
+            if gcd(a, b) != 1:
+                continue
+            for n in range(2, 30):
+                value = a**n - b**n
+                k = value.bit_length()
+                budgets = {value - 1, value, value + 1}
+                budgets |= {2**j + d for j in range(k - 2, k + 3) for d in (-1, 0, 1)}
+                for budget in budgets:
+                    if budget >= 1:
+                        assert _exceeds_budget(a, b, n, budget) == (value > budget)
 
 
 def test_primitive_part_agrees_with_full_classification():
