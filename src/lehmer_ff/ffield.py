@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import isqrt
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -360,14 +359,7 @@ def field_from_order(q: int) -> FieldSpec:
         raise InvalidPrime(f"{q} is not a prime power")
     if q > MAX_Q:
         raise InvalidDegree(f"q = {q} exceeds the supported cap {MAX_Q}")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise InvalidPrime(f"{q} is not a prime power")
-            return field_make(p, k)
-    return field_make(q, 1)  # no p <= sqrt(q) divides q, so q is prime
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise InvalidPrime(f"{q} is not a prime power")
+    return field_make(*factors.popitem())

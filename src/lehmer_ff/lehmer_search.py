@@ -3,9 +3,9 @@
 A partition here is a multiset of positive degrees e_1 <= ... <= e_s
 (s >= 2) summing to n; it abstracts the shape of a squarefree
 factorization.  ``mersenne_divisibility`` is the exact test and
-``lehmer_partitions`` the one search for passing partitions, which the
-F_q[x] sweep, the classifications and the ``partitions`` command all run;
-``partitions_of`` lists every partition and is its oracle.
+``lehmer_partitions`` the one search, which the F_q[x] sweep, the
+classifications and ``partitions`` run: it tests divisibility on every
+prefix.  ``partitions_of`` lists every partition and is its oracle.
 
 ``exponent_map`` expresses (x^n - 1) / prod(x^{e_i} - 1) as a product of
 cyclotomic polynomials Phi_d with integer exponents
@@ -100,21 +100,29 @@ def lehmer_partitions(a: int, n: int, cap=None) -> list[Partition]:
     ``partitions_of`` order.  As gcd(a^e - 1, a^n - 1) = a^gcd(e,n) - 1,
     their parts are proper divisors of n, and only those are tried;
     ``cap(d)``, if given, bounds how often the part d may occur."""
+    if a < 2:
+        raise InvalidInput("base must be >= 2")
     divs = [d for d in divisors(n) if d < n]
     caps = [n // d if cap is None else cap(d) for d in divs]
-    candidates = map(Partition, _capped_partitions(n, divs, caps))
-    return [part for part in candidates if mersenne_divisibility(a, part)]
+    return list(map(Partition, _passing(a, a**n - 1, n, divs, caps)))
 
 
-def _capped_partitions(n: int, divs: list[int], caps: list[int]):
+def _passing(a: int, quotient: int, n: int, divs: list[int], caps: list[int]):
     """Nondecreasing tuples summing to n, divs[i] (ascending) used at most
-    caps[i] times, in colex order: by largest part, then its multiplicity."""
+    caps[i] times, whose prod(a^{e_i} - 1) divides ``quotient``, in colex
+    order: by largest part, then its multiplicity.  Each use of a part d
+    divides the quotient by a^d - 1; a divisor's sub-products divide too,
+    so a remainder ends the search below that prefix."""
     if n == 0:
         yield ()
         return
     for i, d in enumerate(divs):
+        rest_quotient = quotient
         for u in range(1, min(caps[i], n // d) + 1):
-            for rest in _capped_partitions(n - u * d, divs[:i], caps[:i]):
+            rest_quotient, remainder = divmod(rest_quotient, a**d - 1)
+            if remainder:
+                break
+            for rest in _passing(a, rest_quotient, n - u * d, divs[:i], caps[:i]):
                 yield rest + (d,) * u
 
 

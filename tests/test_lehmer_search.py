@@ -1,5 +1,6 @@
 """Partition divisibility, exponent maps, bounds, and candidate degrees."""
 
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -28,6 +29,8 @@ from lehmer_ff.lehmer_search import (
     _margins,
     _quartic_root_floor,
 )
+from lehmer_ff.suites import PROP36_SOLUTIONS
+from lehmer_ff.totient import lehmer_shapes
 from properties import (
     abundancy,
     denominator_multiset,
@@ -179,6 +182,45 @@ def test_lehmer_partitions_equal_the_oracle_in_order(a):
     for n in range(1, 31):
         found = [part.parts for part in lehmer_partitions(a, n)]
         assert found == _passing_in_order(a, n), (a, n)
+
+
+@pytest.mark.parametrize("a, n", [(2, 36), (2, 40), (3, 36), (3, 40)])
+def test_lehmer_partitions_equal_the_oracle_where_parts_prune_least(a, n):
+    # 2^1 - 1 = 1 never prunes, and 36 and 40 have many divisor partitions
+    found = [part.parts for part in lehmer_partitions(a, n)]
+    assert found == _passing_in_order(a, n)
+
+
+@pytest.mark.parametrize("a", [-1, 0, 1])
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_lehmer_partitions_reject_a_base_below_two(a, n):
+    with pytest.raises(InvalidInput, match="base must be >= 2"):
+        lehmer_partitions(a, n)
+
+
+# -- reach: a search that lists every partition before testing it fails these
+
+
+def _within(seconds, call):
+    t0 = time.perf_counter()
+    result = call()
+    assert time.perf_counter() - t0 < seconds
+    return result
+
+
+def test_verify_prop36_reaches_200():
+    found = _within(5, lambda: verify_prop36(200))
+    assert {(n, part.parts) for n, part in found} == PROP36_SOLUTIONS
+
+
+@pytest.mark.parametrize("q, n_max, expected", [
+    (2, 1000, {2: [(1, 1)], 4: [(1, 1, 2)], 6: [(1, 2, 3)]}),
+    (3, 500, {2: [(1, 1)]}),
+    *((q, 60, {}) for q in (4, 5, 7, 8, 9, 65521)),
+])
+def test_lehmer_shapes_reach(q, n_max, expected):
+    shapes = _within(5, lambda: [lehmer_shapes(q, n) for n in range(1, n_max + 1)])
+    assert {n: found for n, found in enumerate(shapes, 1) if found} == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257])
