@@ -23,7 +23,8 @@ Trial division by the sieve of monic irreducibles of degree <= deg/2,
 from degree 1 up, is kept as the oracle ``factor_bruteforce``; the sieve
 itself serves ``irreducibles`` and that oracle only.  It marks composites
 with ``_monic_multiples``, the walk over the monic multiples of one
-polynomial that the phi sieve in ``totient`` also runs.
+polynomial that the phi sieve and the residue-count oracle in
+``totient`` also run.
 
 The text grammar (``format_poly``, ``parse_poly``) is also the text form
 of an extension-field element: a polynomial in t over F_p.

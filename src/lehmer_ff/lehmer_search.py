@@ -29,6 +29,7 @@ zero raises PrecisionAlert rather than deciding silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
@@ -143,11 +144,12 @@ def exponent_map(n: int, part: Partition) -> dict[int, int]:
     in ascending d."""
     if part.n != n:
         raise InvalidInput(f"{part} does not partition {n}")
+    uses = Counter(part.parts)
     relevant: set[int] = set(divisors(n))
-    for e in part.parts:
+    for e in uses:
         relevant.update(divisors(e))
     return {
-        d: (1 if n % d == 0 else 0) - sum(1 for e in part.parts if e % d == 0)
+        d: (1 if n % d == 0 else 0) - sum(u for e, u in uses.items() if e % d == 0)
         for d in sorted(relevant)
     }
 

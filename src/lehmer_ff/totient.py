@@ -7,8 +7,10 @@ totient counts the residues coprime to f:
 
 which is also q^n * prod_i (1 - q^(-n_i)).  The zero residue is never
 coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
-``totient_bruteforce`` is the oracle for that formula: one gcd per
-monic residue, times the q - 1 units that scale it (a unit multiple of
+``totient_bruteforce`` is the oracle for that formula: it counts the
+monic residues that no monic divisor of f of degree >= 1 divides,
+marking the multiples of each divisor found by trial division, and
+multiplies by the q - 1 units that scale a residue (a unit multiple of
 g has the same gcd with f).
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
@@ -39,8 +41,10 @@ from .fpoly import (
     Factorization,
     Poly,
     _decode_monic,
+    _divmod_cv,
+    _encode_cv,
     _factor_cv,
-    _gcd_cv,
+    _monic_cv,
     _monic_multiples,
     factor,
     factor_bruteforce,
@@ -74,11 +78,18 @@ def totient_bruteforce(f: Poly) -> int:
     gcd(f, c*g) = gcd(f, g) for every unit c, so the nonzero residues fall
     into classes of q - 1 that are all coprime to f or all not, and each
     class holds exactly one monic g.  The count is therefore taken over
-    the monic g of degree 0 to deg(f) - 1, one gcd each, and multiplied
-    by q - 1; it is still a count of coprime residues and uses no
-    factorization.  Exponential by design; the independent oracle for
-    :func:`totient`.  Raises OracleOverflow when q^deg(f) exceeds
-    ``ORACLE_CAP``.
+    the monic g of degree 0 to deg(f) - 1 and multiplied by q - 1.
+
+    gcd(f, g) = 1 iff no monic divisor h of f with 1 <= deg h < deg f
+    divides g.  Trial division of monic(f) by every monic h of degree
+    <= deg(f) / 2 finds each such h or its cofactor.  Walked by ascending
+    degree, an h whose own cell is marked is a multiple of a smaller
+    divisor and is skipped; every other h marks its monic multiples of
+    degree < deg(f), in one bytearray row per degree indexed like
+    :func:`_phi_sieve`.  The unmarked cells are the coprime monic g.  Uses
+    no factorization and no irreducible sieve.  Exponential by design; the
+    independent oracle for :func:`totient`.  Raises OracleOverflow when
+    q^deg(f) exceeds ``ORACLE_CAP``.
     """
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
@@ -87,13 +98,24 @@ def totient_bruteforce(f: Poly) -> int:
     q = spec.q
     if q**n > ORACLE_CAP:
         raise OracleOverflow(f"q^deg = {q}^{n} exceeds the oracle cap {ORACLE_CAP}")
-    fcv = f.cv
-    count = 0
-    for d in range(n):
+    fcv = _monic_cv(spec, f.cv)
+    divisors = set()
+    for d in range(1, n // 2 + 1):
         for code in range(q**d):
-            if _gcd_cv(spec, fcv, _decode_monic(q, code, d)) == (1,):
-                count += 1
-    return count * (q - 1)
+            h = _decode_monic(q, code, d)
+            cofactor, rem = _divmod_cv(spec, fcv, h)
+            if not rem:
+                divisors.update((h, cofactor))
+    rows = [bytearray(q**e) for e in range(n)]
+    for h in sorted(divisors, key=len):
+        d = len(h) - 1
+        if rows[d][_encode_cv(spec, h) - q**d]:
+            continue
+        for m in range(n - d):
+            row = rows[d + m]
+            for s in _monic_multiples(spec, h, m):
+                row[s] = 1
+    return sum(row.count(0) for row in rows) * (q - 1)
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,12 @@ def test_bruteforce_cap():
         totient_bruteforce(P(f7, "x^9+1"))
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 4), (4, 4)])
-def test_oracle_equivalence_exhaustive(q, max_deg, f2, f3, f4):
-    spec = {2: f2, 3: f3, 4: f4}[q]
+# F_5 runs the odd-prime walk, F_9 the odd extension through Zech tables
+@pytest.mark.parametrize(
+    "q,max_deg", [(2, 6), (3, 4), (4, 4), (5, 4), (8, 3), (9, 3), (2, 8)]
+)
+def test_oracle_equivalence_exhaustive(q, max_deg):
+    spec = field_from_order(q)
     for n in range(1, max_deg + 1):
         for f in enumerate_polys(spec, n):
             assert totient(f) == totient_bruteforce(f), str(f)
@@ -133,10 +136,12 @@ def coprime_residue_count(f):
     )
 
 
+# (2, 6): x * P has its cofactor P above degree 3, and x^2 * P is skipped
+# as a multiple of x; (3, 4, True): the odd-p walk on unit multiples
 @pytest.mark.parametrize(
     "q,max_deg,units",
     [(2, 5, False), (3, 3, True), (4, 3, True), (5, 2, False),
-     (7, 2, False), (8, 2, False), (9, 2, True)],
+     (7, 2, False), (8, 2, False), (9, 2, True), (2, 6, False), (3, 4, True)],
 )
 def test_bruteforce_equals_the_literal_count(q, max_deg, units):
     spec = field_from_order(q)
@@ -146,6 +151,64 @@ def test_bruteforce_equals_the_literal_count(q, max_deg, units):
             for u in scales:
                 f = monic * u
                 assert totient_bruteforce(f) == coprime_residue_count(f), str(f)
+
+
+# one gcd per residue takes close to a minute here, so 2 s tells the two apart
+@pytest.mark.parametrize(
+    "q,text", [(2, "x^20"), (2, "x^20+x^3+1"), (4, "x^10+t*x^3+x+t")]
+)
+def test_bruteforce_reaches_the_cap(q, text):
+    f = P(field_from_order(q), text)
+    assert q**f.degree == totient_module.ORACLE_CAP
+    t0 = time.perf_counter()
+    count = totient_bruteforce(f)
+    elapsed = time.perf_counter() - t0
+    assert count == totient(f)
+    assert elapsed < 2, elapsed
+
+
+def test_bruteforce_needs_no_factoring(monkeypatch):
+    fields = [(field_from_order(2), 6), (field_from_order(9), 2)]
+    expected = [
+        (f, totient(f))
+        for spec, max_deg in fields
+        for n in range(1, max_deg + 1)
+        for f in enumerate_polys(spec, n)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not factor or sieve")
+
+    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
+    monkeypatch.setattr(totient_module, "_factor_cv", refuse)
+    monkeypatch.setattr(totient_module, "_phi_sieve", refuse)
+    monkeypatch.setattr(fpoly_module, "_factor_cv_bruteforce", refuse)
+    monkeypatch.setattr(fpoly_module, "_irreducible_cvs", refuse)
+    for f, phi in expected:
+        assert totient_bruteforce(f) == phi, str(f)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 4)])
+def test_bruteforce_walks_each_irreducible_factor_once(q, max_deg, monkeypatch):
+    """Divisors go by ascending degree, so every reducible divisor is
+    already marked by a factor of it and only the distinct irreducible
+    factors of degree < deg(f) have their multiples walked."""
+    spec = field_from_order(q)
+    walked = []
+    walk = totient_module._monic_multiples
+
+    def recorded(spec, pcv, m):
+        if m == 0:
+            walked.append(pcv)
+        return walk(spec, pcv, m)
+
+    monkeypatch.setattr(totient_module, "_monic_multiples", recorded)
+    for n in range(2, max_deg + 1):
+        for f in enumerate_polys(spec, n):
+            walked.clear()
+            totient_bruteforce(f)
+            irreducible = {p.cv for p, _ in factor(f).factors if p.degree < n}
+            assert sorted(walked) == sorted(irreducible), str(f)
 
 
 def test_is_lehmer_examples(f2):
