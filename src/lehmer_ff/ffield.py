@@ -52,11 +52,11 @@ def _decode_base(code: int, base: int, width: int) -> list[int]:
 
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree k over F_p."""
-    from .fpoly import Poly, _decode_monic, is_irreducible
+    from .fpoly import Poly, _decode_cv, is_irreducible
 
     fp = field_make(p)
-    for code in range(p**k):
-        cand = _decode_monic(p, code, k)
+    for code in range(p**k, 2 * p**k):
+        cand = _decode_cv(p, code)
         if is_irreducible(Poly(fp, cand)):
             return cand
     raise InvalidDegree(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover

@@ -4,7 +4,7 @@ A polynomial is a tuple of field-element encodings, lowest degree first,
 with no trailing zeros (the zero polynomial is the empty tuple and has
 degree ``NEG_INF``).  Polynomials are totally ordered by their integer
 encoding sum(enc(c_i) * q^i); that single order is reused for the
-irreducible sieve, factor lists, and enumeration streams.
+least-factor sieve, factor lists, and enumeration streams.
 
 Every division in the package runs one long-division loop,
 ``_reduce_cv``, which reduces a list in place and builds a quotient only
@@ -19,12 +19,9 @@ the first gcd that exposes a factor of degree <= deg/2.  Both cost a
 polynomial in deg f and log q, never touch the sieve, and are
 deterministic: the factorization is canonical and the splitting draws
 from a fixed seed.
-Trial division by the sieve of monic irreducibles of degree <= deg/2,
-from degree 1 up, is kept as the oracle ``factor_bruteforce``; the sieve
-itself serves ``irreducibles`` and that oracle only.  It marks composites
-with ``_monic_multiples``, the walk over the monic multiples of one
-polynomial that the phi sieve and the residue-count oracle in
-``totient`` also run.
+One least-factor sieve, walked with ``_monic_multiples``, serves the
+oracles: ``irreducibles``, ``factor_bruteforce``, which follows its chain
+of cofactors and so divides nothing, and the phi oracle in ``totient``.
 
 The text grammar (``format_poly``, ``parse_poly``) is also the text form
 of an extension-field element: a polynomial in t over F_p.
@@ -33,9 +30,10 @@ of an extension-field element: a polynomial in t over F_p.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, groupby, islice, repeat
 from operator import xor
 from typing import Iterator, Sequence
 
@@ -45,6 +43,7 @@ from .errors import (
     FieldMismatch,
     InvalidInput,
     InvalidModulus,
+    OracleOverflow,
     ParseError,
     UndefinedGcd,
 )
@@ -380,78 +379,91 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-# (field, degree) sieves kept: a `sweep` session and `verify --suite
-# main-theorem` each touch the same 4, F_2 to degree 3 and F_3 degree 1
-_SIEVE_CACHE_SIZE = 32
+ORACLE_CAP = 1 << 20
 
 
-@lru_cache(maxsize=_SIEVE_CACHE_SIZE)
-def _irreducible_cvs(p: int, k: int, d: int) -> tuple:
-    """Sorted coefficient tuples of all monic irreducibles of degree d
-    over F_{p^k}; keyed by (p, k), so the cache holds no field."""
+# one table is enough: every caller asks for one field and degree at a time
+# (the exhaustive factor test, a `lehmer` sweep's pool and hits, membership)
+@lru_cache(maxsize=1)
+def _least_factor_sieve(p: int, k: int, max_degree: int) -> tuple[list, list]:
+    """Rows ``least[n]`` and ``cofactor[n]``, indexed by code - q^n, for the
+    monic f over F_{p^k} of degree n <= max_degree: the 32-bit code of
+    f's least monic irreducible factor P by (degree, encoding), 0 where f
+    is irreducible, and the offset code - q^m of f / P.  Raises
+    OracleOverflow first past ``ORACLE_CAP`` entries.  Each P of degree
+    d <= max_degree / 2, found unwritten in ascending order, writes itself
+    into its multiples of degree >= 2d that no smaller P wrote."""
+    q = p**k
+    entries = (q ** (max_degree + 1) - q) // (q - 1)
+    if entries > ORACLE_CAP:
+        raise OracleOverflow(
+            f"sweeping {entries} monic polys over F_{q} to degree "
+            f"{max_degree} exceeds the oracle cap {ORACLE_CAP}"
+        )
     spec = field_make(p, k)
-    q = spec.q
-    composite = bytearray(q**d)
-    for d1 in range(1, d // 2 + 1):
-        for pcv in _irreducible_cvs(p, k, d1):
-            for r in _monic_multiples(spec, pcv, d - d1):
-                composite[r] = 1
-    return tuple(_decode_monic(q, r, d) for r in range(q**d) if not composite[r])
+    least = [array("I", [0]) * q**n for n in range(max_degree + 1)]
+    cofactor = [array("I", [0]) * q**n for n in range(max_degree + 1)]
+    for d in range(1, max_degree // 2 + 1):
+        for code, written in enumerate(least[d], q**d):
+            if written:
+                continue
+            walks = _monic_multiples(spec, _decode_cv(q, code), range(d, max_degree - d + 1))
+            for row, cofactors, pairs in zip(least[2 * d :], cofactor[2 * d :], walks):
+                for g, s in pairs:
+                    if not row[s]:
+                        row[s] = code
+                        cofactors[s] = g
+    return least, cofactor
 
 
-def _monic_multiples(spec: FieldSpec, pcv, m: int) -> Iterator[int]:
-    """Offsets code - q^(d + m) of the products P * g, for P = pcv monic of
-    degree d and every monic g of degree m, each product once.
+def _monic_multiples(spec: FieldSpec, pcv, ms: range) -> list[Iterator[tuple[int, int]]]:
+    """For each m in the nonempty range ms, the pairs (code(g) - q^m,
+    code(P * g) - q^(d + m)) for P = pcv monic of degree d and every monic
+    g of degree m, in the encoding order of g.
 
-    An odometer runs over the m * k F_p-digits of g below x^m (digit
-    j * k + l is the t^l part of the x^j coefficient) in a p-ary Gray
-    order: step i adds 1 to the digit at the p-adic valuation of i, so the
-    product changes by the precomputed vector t^l * x^j * P, and a digit's
-    p-th add wraps it back to 0.  Codes add by ``xor`` when p = 2, so a
-    step is one ``xor``; for odd p it is d + 1 coefficient adds.
-    """
+    An odometer counts g's offset up over its m * k F_p-digits (digit
+    j * k + l is the t^l part of the x^j coefficient): step i adds 1 to
+    every digit at or below the p-adic valuation v of i, so the product
+    gains the carry vector P * (t^l * x^j summed over digits 0 to v).  A
+    step is one ``xor`` of codes when p = 2, else a lookup of c + w per
+    nonzero coefficient w of that vector.  Every m shares one ruler of
+    valuations and one list of carry vectors."""
     q, p, k = spec.q, spec.p, spec.k
-    d = len(pcv) - 1
-    ruler = b""  # the p-adic valuations of 1, ..., p^(m * k) - 1
-    for digit in range(m * k):
+    d, top = len(pcv) - 1, ms[-1]
+    ruler = b""  # the p-adic valuations of 1, ..., p^(top * k) - 1
+    for digit in range(top * k):
         ruler = (ruler + bytes((digit,))) * (p - 1) + ruler
-    tps = [[spec.mul(p**l, c) for c in pcv] for l in range(k)]  # t^l * P
-    r = (_encode_cv(spec, pcv) - q**d) * q**m  # x^m * P
+    tps = [tuple(spec.mul(p**l, c) for c in pcv) for l in range(k)]  # t^l * P
+    r = _encode_cv(spec, pcv) - q**d  # x^m * P is at offset r * q^m
     if p == 2:
-        vecs = [_encode_cv(spec, tps[l]) * q**j for j in range(m) for l in range(k)]
-        yield from accumulate(map(vecs.__getitem__, ruler), xor, initial=r)
-        return
-    add = spec.add
-    cv = [0] * m + list(pcv)
-    steps = [
-        [(j + i, w, q ** (j + i)) for i, w in enumerate(tps[l]) if w]
-        for j in range(m)
-        for l in range(k)
+        vecs = (_encode_cv(spec, tps[l]) * q**j for j in range(top) for l in range(k))
+        carries = list(accumulate(vecs, xor))
+        walks = [(map(carries.__getitem__, islice(ruler, p ** (m * k) - 1)), xor) for m in ms]
+        return [enumerate(accumulate(*walk, initial=r * q**m)) for m, walk in zip(ms, walks)]
+    shifts = [(0,) * j + tps[l] for j in range(top) for l in range(k)]  # t^l * x^j * P
+    steps = [  # per carry vector: (position, c + w for every element c, weight)
+        [(pos, list(map(spec.add, range(q), repeat(w))), q**pos) for pos, w in enumerate(c) if w]
+        for c in accumulate(shifts, partial(_add_cv, spec))
     ]
-    yield r
-    for t in ruler:
-        for pos, w, weight in steps[t]:
+
+    def step(cv: list, code: int, v: int) -> int:
+        for pos, add_w, weight in steps[v]:
             old = cv[pos]
-            new = add(old, w)
-            cv[pos] = new
-            r += (new - old) * weight
-        yield r
+            cv[pos] = new = add_w[old]
+            code += (new - old) * weight
+        return code
+
+    walks = [(islice(ruler, p ** (m * k) - 1), partial(step, [0] * m + list(pcv))) for m in ms]
+    return [enumerate(accumulate(*walk, initial=r * q**m)) for m, walk in zip(ms, walks)]
 
 
-def _decode_monic(q: int, code: int, degree: int):
-    out = []
-    for _ in range(degree):
-        code, r = divmod(code, q)
-        out.append(r)
-    out.append(1)
-    return tuple(out)
-
-
-def irreducibles(spec: FieldSpec, d: int) -> list[Poly]:
-    """All monic irreducibles of degree d, sorted by encoding."""
+def irreducibles(spec: FieldSpec, d: int, _max_degree: int = 0) -> list[Poly]:
+    """All monic irreducibles of degree d, sorted by encoding: the degree-d
+    entries left at 0 in the least-factor sieve to max(d, ``_max_degree``)."""
     if d < 1:
         raise InvalidInput("degree must be >= 1")
-    return [Poly._raw(spec, cv) for cv in _irreducible_cvs(spec.p, spec.k, d)]
+    row = _least_factor_sieve(spec.p, spec.k, max(d, _max_degree))[0][d]
+    return [Poly._raw(spec, _decode_cv(spec.q, c)) for c, w in enumerate(row, spec.q**d) if not w]
 
 
 def irreducible_count(q: int, d: int) -> int:
@@ -469,13 +481,12 @@ def factor(f: Poly) -> Factorization:
     return _factorization(f, _factor_cv)
 
 
-def factor_bruteforce(f: Poly) -> Factorization:
-    """:func:`factor` by a root scan and trial division against the sieve.
-
-    Costs O(q) field evaluations plus about q^(deg/2) sieve products; the
-    independent oracle for :func:`factor`.
-    """
-    return _factorization(f, _factor_cv_bruteforce)
+def factor_bruteforce(f: Poly, _max_degree: int = 0) -> Factorization:
+    """:func:`factor` off the least-factor sieve to max(deg f,
+    ``_max_degree``), so that one table serves a batch; it divides nothing,
+    so it shares no kernel with :func:`factor`, and is its independent
+    oracle."""
+    return _factorization(f, lambda spec, cv: _factor_cv_bruteforce(spec, cv, _max_degree))
 
 
 def _factorization(f: Poly, factor_cv) -> Factorization:
@@ -567,25 +578,17 @@ def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
     )
 
 
-def _factor_cv_bruteforce(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
-    """:func:`_factor_cv` by trial division against the sieve of monic
-    irreducibles of degree <= deg/2, from degree 1 (the x - r) up; what
-    is left when no factor of degree <= deg/2 remains is irreducible.
-    Factors are found in sieve order, which is the canonical order."""
-    work = _monic_cv(spec, cv)
-    out = []
-    d = 1
-    while 2 * d <= len(work) - 1:
-        for pcv in _irreducible_cvs(spec.p, spec.k, d):
-            work, m = _divide_out(spec, work, pcv)
-            if m:
-                out.append((pcv, m))
-            if 2 * d > len(work) - 1:
-                break
-        d += 1
-    if len(work) > 1:
-        out.append((work, 1))
-    return out
+def _factor_cv_bruteforce(spec: FieldSpec, cv, max_degree: int) -> list[tuple[tuple, int]]:
+    """:func:`_factor_cv` by the chain f = P * g, g = P' * g', ... of least
+    factors down to 1, which lists them in canonical order."""
+    n = len(cv) - 1
+    least, cofactor = _least_factor_sieve(spec.p, spec.k, max(n, max_degree))
+    r = _encode_cv(spec, _monic_cv(spec, cv)) - spec.q**n
+    chain = []
+    while n:
+        chain.append(_decode_cv(spec.q, least[n][r] or spec.q**n + r))
+        n, r = n - len(chain[-1]) + 1, cofactor[n][r]
+    return [(pcv, len(list(run))) for pcv, run in groupby(chain)]
 
 
 def enumerate_polys(spec: FieldSpec, n: int) -> Iterator[Poly]:

@@ -17,11 +17,11 @@ g has the same gcd with f).
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
 from ``lehmer_search.lehmer_partitions``, the search for the partition
 condition prod(q^{e_i} - 1) | q^n - 1, and multiplies out the passing
-ones.  ``lehmer_set_bruteforce`` is its independent oracle: a sieve of
-Eratosthenes over the monic encodings computes phi(q, f) for every monic
-f in range, with no factoring and no partition search.  Both factor each
-monic hit once, by trial division (``fpoly.factor_bruteforce``), and
-return its ``TotientReport``; a unit multiple reuses those factors.  The
+ones.  ``lehmer_set_bruteforce`` is its independent oracle: it reads
+phi(q, f) for every monic f in range off ``fpoly``'s least-factor sieve,
+with no factoring and no partition search.  Both factor each monic hit
+once, with the sieve oracle ``fpoly.factor_bruteforce``, and return its
+``TotientReport``; a unit multiple reuses those factors.  The
 reports are guarded: each must meet the Lehmer condition and known
 structural facts (squarefreeness, factor-degree divisibility, a lower
 bound on the number of distinct factors).
@@ -38,12 +38,14 @@ from math import prod
 from .errors import InvalidInput, OracleOverflow, VerificationError
 from .ffield import FieldSpec
 from .fpoly import (
+    ORACLE_CAP,
     Factorization,
     Poly,
-    _decode_monic,
+    _decode_cv,
     _divmod_cv,
     _encode_cv,
     _factor_cv,
+    _least_factor_sieve,
     _monic_cv,
     _monic_multiples,
     factor,
@@ -53,8 +55,6 @@ from .fpoly import (
 )
 from .intmath import decimal_str
 from .lehmer_search import lehmer_partitions
-
-ORACLE_CAP = 1 << 20
 
 
 def totient(f: Poly) -> int:
@@ -86,8 +86,8 @@ def totient_bruteforce(f: Poly) -> int:
     degree, an h whose own cell is marked is a multiple of a smaller
     divisor and is skipped; every other h marks its monic multiples of
     degree < deg(f), in one bytearray row per degree indexed like
-    :func:`_phi_sieve`.  The unmarked cells are the coprime monic g.  Uses
-    no factorization and no irreducible sieve.  Exponential by design; the
+    :func:`_phi_rows`.  The unmarked cells are the coprime monic g.  Uses
+    no factorization and no least-factor sieve.  Exponential by design; the
     independent oracle for :func:`totient`.  Raises OracleOverflow when
     q^deg(f) exceeds ``ORACLE_CAP``.
     """
@@ -101,8 +101,8 @@ def totient_bruteforce(f: Poly) -> int:
     fcv = _monic_cv(spec, f.cv)
     divisors = set()
     for d in range(1, n // 2 + 1):
-        for code in range(q**d):
-            h = _decode_monic(q, code, d)
+        for code in range(q**d, 2 * q**d):
+            h = _decode_cv(q, code)
             cofactor, rem = _divmod_cv(spec, fcv, h)
             if not rem:
                 divisors.update((h, cofactor))
@@ -111,9 +111,8 @@ def totient_bruteforce(f: Poly) -> int:
         d = len(h) - 1
         if rows[d][_encode_cv(spec, h) - q**d]:
             continue
-        for m in range(n - d):
-            row = rows[d + m]
-            for s in _monic_multiples(spec, h, m):
+        for row, pairs in zip(rows[d:], _monic_multiples(spec, h, range(n - d))):
+            for _, s in pairs:
                 row[s] = 1
     return sum(row.count(0) for row in rows) * (q - 1)
 
@@ -189,7 +188,7 @@ def lehmer_set(
 
     Each shape of :func:`lehmer_shapes` is realised as every product of
     distinct monic irreducibles of its degrees, so only the degrees in a
-    passing shape need an irreducible sieve.
+    passing shape need their irreducibles, each listed once.
     ``workers`` is validated and otherwise ignored: the sweep runs in one
     process.
 
@@ -200,23 +199,22 @@ def lehmer_set(
     _check_max_degree(max_degree)
     if workers < 1:
         raise InvalidInput("workers must be >= 1")
+    shapes = [parts for n in range(2, max_degree + 1) for parts in lehmer_shapes(spec.q, n)]
+    top = max(map(sum, shapes), default=0)  # the table `_finish` factors the hits off
+    pool = {d: irreducibles(spec, d, top) for d in sorted({d for parts in shapes for d in parts})}
     hits: list[Poly] = []
-    for n in range(2, max_degree + 1):
-        for parts in lehmer_shapes(spec.q, n):
-            pools = [
-                combinations(irreducibles(spec, d), parts.count(d))
-                for d in sorted(set(parts))
-            ]
-            for choice in product(*pools):
-                factors = [g for group in choice for g in group]
-                hits.append(prod(factors, start=Poly.one(spec)))
+    for parts in shapes:
+        groups = [combinations(pool[d], parts.count(d)) for d in sorted(set(parts))]
+        for choice in product(*groups):
+            factors = [g for group in choice for g in group]
+            hits.append(prod(factors, start=Poly.one(spec)))
     hits.sort(key=Poly.sort_key)
     return _finish(spec, hits, expand_units)
 
 
 def lehmer_set_bruteforce(spec: FieldSpec, max_degree: int) -> list[TotientReport]:
     """:func:`lehmer_set` by computing phi(q, f) for every monic f in range
-    with :func:`_phi_sieve` and keeping the reducible f whose phi divides
+    with :func:`_phi_rows` and keeping the reducible f whose phi divides
     q^deg(f) - 1 (a reducible f never has phi = q^deg(f) - 1).
 
     Exponential by design; the independent oracle for :func:`lehmer_set`.
@@ -225,47 +223,37 @@ def lehmer_set_bruteforce(spec: FieldSpec, max_degree: int) -> list[TotientRepor
     """
     _check_max_degree(max_degree)
     q = spec.q
-    scanned = sum(q**n for n in range(1, max_degree + 1))
-    if scanned > ORACLE_CAP:
-        raise OracleOverflow(
-            f"sweeping {scanned} monic polys over F_{q} to degree "
-            f"{max_degree} exceeds the oracle cap {ORACLE_CAP}"
-        )
     hits: list[Poly] = []
-    phi = _phi_sieve(spec, max_degree)
+    phi = _phi_rows(spec, max_degree)
     for n in range(1, max_degree + 1):
         mod_value = q**n - 1
-        for r, v in enumerate(phi[n]):
+        for code, v in enumerate(phi[n], q**n):
             if v != mod_value and mod_value % v == 0:
-                hits.append(Poly._raw(spec, _decode_monic(q, r, n)))
+                hits.append(Poly._raw(spec, _decode_cv(q, code)))
     return _finish(spec, hits, expand_units=False)
 
 
-def _phi_sieve(spec: FieldSpec, max_degree: int) -> list[array]:
+def _phi_rows(spec: FieldSpec, max_degree: int) -> list[array]:
     """phi[n][r] = phi(q, f) for the monic f of degree n <= max_degree
     with encoding q^n + r (phi[0] holds f = 1).
 
-    Every entry starts at q^n.  Degrees are walked upwards; an entry of
-    degree d still at q^d has no factor of lower degree, so it is an
-    irreducible P: it gets q^d - 1, and every monic multiple of P of
-    higher degree loses the share 1/q^d of its phi.  Exact, because
-    phi = q^n * prod(1 - q^(-d_i)) over the distinct irreducible factors.
-    """
-    q = spec.q
-    phi = [array("L", [q**n]) * q**n for n in range(max_degree + 1)]
-    for d in range(1, max_degree + 1):
-        qd = q**d
-        row = phi[d]
-        for r in range(qd):
-            if row[r] != qd:
-                continue
-            row[r] = qd - 1
-            pcv = _decode_monic(q, r, d)
-            for m in range(1, max_degree - d + 1):
-                multiples = phi[d + m]
-                for s in _monic_multiples(spec, pcv, m):
-                    v = multiples[s]
-                    multiples[s] = v - v // qd
+    As ``intmath.sigma_phi_sieve`` does for integers: with P of degree d
+    the least factor of f and g = f / P, phi(f) is phi(g) * q^d when P
+    also divides g, that is when P is g's least factor, and else
+    phi(g) * (q^d - 1)."""
+    least, cofactor = _least_factor_sieve(spec.p, spec.k, max_degree)
+    power = [spec.q**e for e in range(max_degree + 1)]
+    # the degree of each code a least factor of a reducible f can have
+    degree_of = {c: d for d in range(max_degree // 2 + 1) for c in range(power[d], 2 * power[d])}
+    phi = [array("I", [1])]
+    for n in range(1, max_degree + 1):
+        row = array("I", [power[n] - 1]) * power[n]  # the irreducibles'
+        for r, (pc, s) in enumerate(zip(least[n], cofactor[n])):
+            if pc:  # q^d, less 1 unless P is also g's least factor
+                d = degree_of[pc]
+                m = n - d
+                row[r] = phi[m][s] * (power[d] - ((least[m][s] or power[m] + s) != pc))
+        phi.append(row)
     return phi
 
 
@@ -280,12 +268,12 @@ def _finish(
     """Report and guard the sorted monic hits, then optionally expand by
     units.
 
-    Each monic hit is factored once, with the trial-division oracle: hits
-    exist only over F_2 and F_3, where it is the cheaper exact method.  A
-    unit multiple u*f has the same phi and the factors of f with the unit
-    u, so its report is the monic one with f and the unit replaced.
-    """
-    reports = [_report(f, factor_bruteforce(f)) for f in hits]
+    Each monic hit is factored once, off one sieve table to the largest
+    hit degree: hits exist only over F_2 and F_3, where it is the cheaper
+    exact method.  A unit multiple u*f has the same phi and the factors of
+    f with unit u, so its report is the monic one with f and unit replaced."""
+    top = len(hits[-1].cv) - 1 if hits else 0
+    reports = [_report(f, factor_bruteforce(f, top)) for f in hits]
     bad = hit_structure_violations(spec, reports)
     if bad:
         raise VerificationError("; ".join(bad))

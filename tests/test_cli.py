@@ -312,6 +312,8 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         ("verify", "--suite", "bounds", "--n-max", str(10**12)),
         ("candidates", "--n-max", "10001"),
         ("candidates", "--n-max", str(10**12)),
+        ("partitions", "--a", "2", "--n-max", "31", "--all"),
+        ("partitions", "--a", "2", "--n-max", str(10**12), "--all"),
     ],
 )
 def test_oversized_requests_exit_3_at_once(capsys, argv):
@@ -391,6 +393,20 @@ def test_candidates_at_the_cap_runs(capsys):
     # no degree above 54 enters either set
     assert payload["refined"] == [8, 9, 10, 12, 14, 18, 20, 24, 30]
     assert max(payload["coarse"]) == 54
+
+
+def test_partitions_all_at_the_cap_runs(capsys):
+    from lehmer_ff.cli import PARTITIONS_ALL_N_MAX_CAP
+
+    n_max = PARTITIONS_ALL_N_MAX_CAP
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "partitions", "--a", "2", "--n-max", str(n_max), "--all", "--format", "csv"
+    )
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == sum(len(list(partitions_of(n))) for n in range(2, n_max + 1))
 
 
 def test_lehmer_beyond_oracle_reach(capsys):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, factorization, sieve, and enumeration streams."""
 
+import importlib
 import random
 import time
 
@@ -11,6 +12,7 @@ from lehmer_ff import (
     InvalidInput,
     InvalidModulus,
     NEG_INF,
+    OracleOverflow,
     ParseError,
     Poly,
     UndefinedGcd,
@@ -146,20 +148,24 @@ def test_degree_weighted_counts_sum_to_q_power(q):
 
 
 def test_sieve_cache_is_bounded():
-    """Twin of the field-cache bound: degree-1 sieves of more prime fields
-    than the cache holds evict F_2's degree-3 sieve, which then rebuilds
-    equal."""
-    from lehmer_ff.fpoly import _SIEVE_CACHE_SIZE, _irreducible_cvs
+    """Twin of the field-cache bound: the least-factor table cache holds
+    one table, so the degree-1 tables of 33 prime fields evict F_2's
+    degree-3 table, which then rebuilds equal."""
+    from lehmer_ff.fpoly import _decode_cv, _least_factor_sieve
     from lehmer_ff.intmath import is_prime
 
-    first = _irreducible_cvs(2, 1, 3)
-    others = [p for p in range(3, 1000) if is_prime(p)][: _SIEVE_CACHE_SIZE + 1]
+    assert _least_factor_sieve.cache_info().maxsize == 1
+    first = _least_factor_sieve(2, 1, 3)
+    others = [p for p in range(3, 1000) if is_prime(p)][:33]
     for p in others:
         assert len(irreducibles(field_make(p), 1)) == p
-        assert _irreducible_cvs.cache_info().currsize <= _SIEVE_CACHE_SIZE
-    rebuilt = _irreducible_cvs(2, 1, 3)
-    assert rebuilt is not first  # F_2's sieves were the least recently used
-    assert rebuilt == first == ((1, 1, 0, 1), (1, 0, 1, 1))
+        assert _least_factor_sieve.cache_info().currsize <= 1
+    rebuilt = _least_factor_sieve(2, 1, 3)
+    assert rebuilt is not first  # F_2's table was evicted
+    assert rebuilt == first
+    least, _ = first
+    own = [_decode_cv(2, 8 + r) for r, c in enumerate(least[3]) if not c]
+    assert own == [(1, 1, 0, 1), (1, 0, 1, 1)]
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 8), (3, 8), (4, 8)])
@@ -253,6 +259,55 @@ def test_is_irreducible_equals_sieve_membership():
                     f = Poly(spec, [rng.randrange(q) for _ in range(n)] + [1])
                     (_, m), *rest = factor_bruteforce(f).factors
                     assert is_irreducible(f) == (m == 1 and not rest), (q, str(f))
+
+
+def test_factor_bruteforce_divides_nothing(monkeypatch):
+    """The oracle follows the sieve's chain of least factors, so it gives
+    the factorizations of `factor` with every division kernel made to
+    raise."""
+    f2, f9 = field_from_order(2), field_from_order(9)
+    monic = [
+        f
+        for spec, max_deg in ((f2, 8), (f9, 3))
+        for n in range(1, max_deg + 1)
+        for f in enumerate_polys(spec, n)
+    ]
+    units = list(f9.units())[1:]
+    scaled = [f * units[i % len(units)] for i, f in enumerate(monic) if f.spec == f9]
+    expected = [(f, factor(f)) for f in monic + scaled]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factor oracle must not divide")
+
+    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
+    for name in ("_reduce_cv", "_divmod_cv", "_divide_out", "_gcd_cv", "_factor_cv"):
+        monkeypatch.setattr(fpoly_module, name, refuse)
+    for f, fac in expected:
+        assert factor_bruteforce(f) == fac, str(f)
+
+
+# the smallest tables past the cap: the documented domain of the sieve
+# oracles ends at F_2 to degree 19, F_3 to 12, F_9 to 6 and degree 2 for
+# q <= 1021
+OVER_THE_CAP = [(2, 20), (3, 13), (9, 7), (1031, 2), (65521, 2)]
+
+
+@pytest.mark.parametrize("q,degree", OVER_THE_CAP)
+def test_irreducibles_refuse_past_the_cap(q, degree):
+    spec = field_from_order(q)
+    t0 = time.perf_counter()
+    with pytest.raises(OracleOverflow):
+        irreducibles(spec, degree)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("q,degree", OVER_THE_CAP)
+def test_factor_bruteforce_refuses_past_the_cap(q, degree):
+    f = Poly(field_from_order(q), [1] * (degree + 1))
+    t0 = time.perf_counter()
+    with pytest.raises(OracleOverflow):
+        factor_bruteforce(f)
+    assert time.perf_counter() - t0 < 1
 
 
 def _random_irreducible(rng, spec, d):

@@ -1,6 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-every name the package exports is read outside its own module, and only
-the CLI's renderer writes to stdout."""
+every name the package exports is read outside its own module, every
+cache is bounded, and only the CLI's renderer writes to stdout."""
 
 import ast
 from pathlib import Path
@@ -100,6 +100,58 @@ def test_every_export_is_read_outside_its_module():
 
 def test_listed_exports_exist():
     assert (NAMED_ORACLES | RETURNED) <= set(exports())
+
+
+# -- bounded caches ------------------------------------------------------------
+
+CACHES = {"cache", "lru_cache"}
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions that take parameters under a ``cache`` or ``lru_cache``
+    decorator that sets no ``maxsize`` other than None: such a cache
+    grows with every new argument for the life of the process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            sizes = []
+            if call:
+                sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if name in CACHES and all(
+                isinstance(v, ast.Constant) and v.value is None for v in sizes
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_unbounded_cache_is_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache\ndef b(x): pass\n"
+        "@lru_cache()\ndef c(*x): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef d(x=1): pass\n"
+        "@lru_cache(None)\ndef e(*, x): pass\n"
+        "@lru_cache(maxsize=4)\ndef f(x): pass\n"
+        "@lru_cache(SIZE)\ndef g(x): pass\n"
+        "@cache\ndef h(): pass\n"
+        "@property\ndef i(self): pass\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
 
 
 # -- the output boundary -------------------------------------------------------

@@ -105,7 +105,7 @@ def test_oracle_equivalence_exhaustive(q, max_deg):
 def sieved(q, max_deg):
     """(f, phi from the sieve) for every monic f of degree 1..max_deg."""
     spec = field_from_order(q)
-    phi = totient_module._phi_sieve(spec, max_deg)
+    phi = totient_module._phi_rows(spec, max_deg)
     for n in range(1, max_deg + 1):
         row = phi[n]
         assert len(row) == q**n
@@ -181,9 +181,8 @@ def test_bruteforce_needs_no_factoring(monkeypatch):
 
     fpoly_module = importlib.import_module("lehmer_ff.fpoly")
     monkeypatch.setattr(totient_module, "_factor_cv", refuse)
-    monkeypatch.setattr(totient_module, "_phi_sieve", refuse)
-    monkeypatch.setattr(fpoly_module, "_factor_cv_bruteforce", refuse)
-    monkeypatch.setattr(fpoly_module, "_irreducible_cvs", refuse)
+    monkeypatch.setattr(totient_module, "_least_factor_sieve", refuse)
+    monkeypatch.setattr(fpoly_module, "_least_factor_sieve", refuse)
     for f, phi in expected:
         assert totient_bruteforce(f) == phi, str(f)
 
@@ -197,10 +196,9 @@ def test_bruteforce_walks_each_irreducible_factor_once(q, max_deg, monkeypatch):
     walked = []
     walk = totient_module._monic_multiples
 
-    def recorded(spec, pcv, m):
-        if m == 0:
-            walked.append(pcv)
-        return walk(spec, pcv, m)
+    def recorded(spec, pcv, ms):
+        walked.append(pcv)
+        return walk(spec, pcv, ms)
 
     monkeypatch.setattr(totient_module, "_monic_multiples", recorded)
     for n in range(2, max_deg + 1):
@@ -346,7 +344,8 @@ def test_lehmer_set_validates_arguments(f2):
 
 def test_lehmer_set_bruteforce_cap(f2, monkeypatch):
     # 2 + 4 + ... + 2^6 = 126 monic polys fit a cap of 126; degree 7 does not
-    monkeypatch.setattr(totient_module, "ORACLE_CAP", 126)
+    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
+    monkeypatch.setattr(fpoly_module, "ORACLE_CAP", 126)
     assert lehmer_set_bruteforce(f2, 6) == lehmer_set(f2, 6)
     with pytest.raises(OracleOverflow):
         lehmer_set_bruteforce(f2, 7)
