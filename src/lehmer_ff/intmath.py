@@ -8,6 +8,7 @@ division early when the remaining cofactor is prime.
 
 from __future__ import annotations
 
+from array import array
 from math import isqrt
 
 from .errors import InvalidInput, UndefinedValuation, VerificationError
@@ -55,11 +56,13 @@ def factorize(n: int) -> dict[int, int]:
         raise InvalidInput(f"cannot factor {n}")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:  # n has no prime below p, so it is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        if n == 1:
-            return out
     # wheel over 6k +/- 1, restarting the primality shortcut after each hit
     while n > 1:
         if is_prime(n):
@@ -137,40 +140,48 @@ def valuation(p: int, m: int) -> int:
     return v
 
 
-def sigma_phi_sieve(limit: int) -> tuple[list[int], list[int]]:
-    """(sig, phi) with sig[n] = sigma(n) and phi[n] = phi(n) for
-    0 <= n <= limit (both 0 at n = 0), from one smallest-prime-factor sieve.
+def sigma_phi_sieve(limit: int) -> tuple[array, array]:
+    """(sig, phi), ``'q'`` arrays with sig[n] = sigma(n) and phi[n] = phi(n)
+    for 0 <= n <= limit (both 0 at n = 0), from one smallest-prime-factor
+    sieve.
 
-    Both functions are multiplicative, so writing n = p^e * r with p the
-    smallest prime of n gives each value from its value at r < n and a
-    closed form at p^e.
+    One step per n: with p the smallest prime of n and r = n / p, either p
+    does not divide r, and sigma and phi are multiplicative, or it does,
+    and sigma(n) = p * sigma(r) + sigma(m), phi(n) = p * phi(r), where m is
+    r with its power of p removed.  ``rest`` keeps that m for each n.
     """
-    spf = [0] * (limit + 1)  # 0 marks a prime
+    spf = array("I", [0]) * (limit + 1)  # 0 marks a prime
     # descending, so the smallest d >= 2 with d | n and d * d <= n, which
     # is the smallest prime of a composite n, is written last
     for d in range(isqrt(limit), 1, -1):
-        spf[d * d :: d] = [d] * len(range(d * d, limit + 1, d))
-    sig = [0] * (limit + 1)
-    phi = [0] * (limit + 1)
+        spf[d * d :: d] = array("I", [d]) * len(range(d * d, limit + 1, d))
+    # 32 bits hold every n below 2^32; at that limit sig and phi need 64 GiB
+    rest = array("I", [0]) * (limit + 1)
+    sig = array("q", [0]) * (limit + 1)
+    phi = array("q", [0]) * (limit + 1)
     if limit >= 1:
         sig[1] = phi[1] = 1
     for n in range(2, limit + 1):
         p = spf[n] or n
-        r, pe = n // p, p
-        while r % p == 0:
-            r //= p
-            pe *= p
-        sig[n] = sig[r] * ((pe * p - 1) // (p - 1))
-        phi[n] = phi[r] * (pe - pe // p)
+        r = n // p
+        if r % p:
+            sig[n] = sig[r] * (p + 1)
+            phi[n] = phi[r] * (p - 1)
+            rest[n] = r
+        else:
+            m = rest[r]
+            sig[n] = p * sig[r] + sig[m]
+            phi[n] = p * phi[r]
+            rest[n] = m
     return sig, phi
 
 
-def sigma_sieve(limit: int) -> list[int]:
+def sigma_sieve(limit: int) -> array:
     """sig[n] = sum of divisors of n, for 0 <= n <= limit (sig[0] = 0)."""
     return sigma_phi_sieve(limit)[0]
 
 
-def phi_sieve(limit: int) -> list[int]:
+def phi_sieve(limit: int) -> array:
     """phi[n] for 0 <= n <= limit (phi[0] = 0)."""
     return sigma_phi_sieve(limit)[1]
 

@@ -237,10 +237,10 @@ def _phi_rows(spec: FieldSpec, max_degree: int) -> list[array]:
     """phi[n][r] = phi(q, f) for the monic f of degree n <= max_degree
     with encoding q^n + r (phi[0] holds f = 1).
 
-    As ``intmath.sigma_phi_sieve`` does for integers: with P of degree d
-    the least factor of f and g = f / P, phi(f) is phi(g) * q^d when P
-    also divides g, that is when P is g's least factor, and else
-    phi(g) * (q^d - 1)."""
+    The one step per entry of ``intmath.sigma_phi_sieve``, with q^d in
+    place of p: with P of degree d the least factor of f and g = f / P,
+    phi(f) is phi(g) * q^d when P also divides g, that is when P is g's
+    least factor, and else phi(g) * (q^d - 1)."""
     least, cofactor = _least_factor_sieve(spec.p, spec.k, max_degree)
     power = [spec.q**e for e in range(max_degree + 1)]
     # the degree of each code a least factor of a reducible f can have

@@ -8,10 +8,13 @@ The strict totient lower bound phi(n) > c(n)*n^(3/4) fails at exactly
 n in {3, 6, 12, 16, 24, 48} for n <= 1e5, with equality at n = 16,
 confirmed here by an exact integer check.  Either test fails if a
 counterexample appears or disappears.  The refined candidate set and
-every classification built on it are unaffected.
+every classification built on it are unaffected.  Two tests beside
+criterion 10 hold its suite to the exact comparisons on crafted rows at
+both bounds, and run it at its cap.
 """
 
 import time
+from math import isqrt
 
 import mpmath
 import pytest
@@ -29,10 +32,12 @@ from lehmer_ff import (
     verify_prop36,
     zsigmondy,
 )
+from lehmer_ff import suites
 from lehmer_ff.cli import run as cli_run
-from lehmer_ff.intmath import euler_phi
+from lehmer_ff.intmath import euler_phi, sigma, sigma_phi_sieve
 from lehmer_ff.lehmer_search import PRECISION_GAP, c_factor
 from lehmer_ff.suites import (
+    BOUNDS_LIMIT_CAP,
     COARSE_DEGREES,
     REFINED_DEGREES,
     expected_lehmer_monic,
@@ -244,6 +249,57 @@ def test_criterion_10_exact_bounds(capsys):
     assert phi_check.found == TOTIENT_BOUND_VIOLATIONS, phi_check.found
     assert genuine, sides
     assert equal_at == [16], equal_at
+
+
+def test_bounds_prefilter_hands_every_boundary_row_to_the_exact_check(monkeypatch):
+    """Crafted rows to 5000, fourth-root groups r = 1..8.  At odd n sig[n]
+    is the least value that breaks the abundancy bound (equality at
+    625 = 5^4), at even n one less; at even n phi[n] is the greatest value
+    that breaks the totient bound (equality at 16, 256, 1296, 4096), at odd
+    n one more.  The suite finds what the plain exact comparisons find."""
+    limit = 5000
+    sig, phi = [0] * (limit + 1), [0] * (limit + 1)
+    c4 = {n: (c_factor(n).numerator ** 4, c_factor(n).denominator ** 4)
+          for n in range(2, limit + 1)}
+    for n in range(1, limit + 1):
+        rhs = 1048576 * n**5
+        s = isqrt(isqrt(rhs // 390625))
+        s += s**4 * 390625 < rhs
+        assert (s - 1) ** 4 * 390625 < rhs <= s**4 * 390625, n
+        sig[n] = s - 1 + n % 2
+    for n, (num4, den4) in c4.items():
+        f = isqrt(isqrt(num4 * n**3 // den4))
+        assert f**4 * den4 <= num4 * n**3 < (f + 1) ** 4 * den4, n
+        phi[n] = f + n % 2
+    exact_h = [n for n in range(1, limit + 1) if sig[n] ** 4 * 390625 >= 1048576 * n**5]
+    exact_phi = [n for n, (num4, den4) in c4.items() if phi[n] ** 4 * den4 <= num4 * n**3]
+    assert exact_h == list(range(1, limit + 1, 2))
+    assert exact_phi == list(range(2, limit + 1, 2))
+    monkeypatch.setattr(suites, "sigma_phi_sieve", lambda n_max: (sig, phi))
+    h_check, phi_check = suite_bounds(limit).checks
+    assert h_check.found == exact_h
+    assert phi_check.found == exact_phi
+
+
+def test_bounds_at_the_cap(monkeypatch):
+    """The largest admitted limit, with spot checks on the one sieve it
+    builds."""
+    rows = []
+
+    def sieve(n_max):
+        rows.append(sigma_phi_sieve(n_max))
+        return rows[-1]
+
+    monkeypatch.setattr(suites, "sigma_phi_sieve", sieve)
+    t0 = time.perf_counter()
+    h_check, phi_check = suite_bounds(BOUNDS_LIMIT_CAP).checks
+    assert time.perf_counter() - t0 < 5
+    assert h_check.ok, h_check.found
+    assert phi_check.found == TOTIENT_BOUND_VIOLATIONS, phi_check.found
+    (sig, phi), = rows
+    assert len(sig) == len(phi) == BOUNDS_LIMIT_CAP + 1
+    for n in (2**19, 3**12, 5**8, 7**7, 720720, 997920, 999983, 10**6):
+        assert (sig[n], phi[n]) == (sigma(n), euler_phi(n)), n
 
 
 def test_criterion_11_property_suites(capsys, lehmer_sets):

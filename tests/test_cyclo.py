@@ -1,6 +1,8 @@
 """Cyclotomic values, valuations, and primitive prime divisors."""
 
 import time
+import tracemalloc
+from array import array
 from math import gcd, isqrt
 
 import pytest
@@ -74,12 +76,28 @@ def test_factorize_matches_a_smallest_prime_factor_sieve():
 def test_sigma_phi_sieve_matches_factoring():
     for limit in (0, 1, 2, 3, 16, 17):
         sig, phi = sigma_phi_sieve(limit)
-        assert sig == [0] + [sigma(n) for n in range(1, limit + 1)], limit
-        assert phi == [0] + [euler_phi(n) for n in range(1, limit + 1)], limit
+        assert isinstance(sig, array) and isinstance(phi, array), limit
+        assert list(sig) == [0] + [sigma(n) for n in range(1, limit + 1)], limit
+        assert list(phi) == [0] + [euler_phi(n) for n in range(1, limit + 1)], limit
     limit = 5000
     sig, phi = sigma_phi_sieve(limit)
-    assert sig == sigma_sieve(limit) == [0] + [sigma(n) for n in range(1, limit + 1)]
-    assert phi == phi_sieve(limit) == [0] + [euler_phi(n) for n in range(1, limit + 1)]
+    assert list(sig) == list(sigma_sieve(limit)) == [0] + [
+        sigma(n) for n in range(1, limit + 1)
+    ]
+    assert list(phi) == list(phi_sieve(limit)) == [0] + [
+        euler_phi(n) for n in range(1, limit + 1)
+    ]
+
+
+def test_sigma_phi_sieve_memory():
+    """Typed rows: 2.4 MB at 10^5, where lists of boxed ints need 8.8 MB."""
+    tracemalloc.start()
+    try:
+        sigma_phi_sieve(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_cyclotomic_known_polynomials():
