@@ -199,9 +199,9 @@ def _cmd_lehmer(args) -> int:
 
 
 def _cmd_cyclotomic(args) -> int:
-    poly = cyclotomic(args.n)
-    payload = {"n": args.n, "degree": euler_phi(args.n), "poly": str(poly)}
-    line = f"Phi_{args.n} = {poly}"
+    text = str(cyclotomic(args.n))
+    payload = {"n": args.n, "degree": euler_phi(args.n), "poly": text}
+    line = f"Phi_{args.n} = {text}"
     if args.eval_at is not None:
         payload["eval_at"] = args.eval_at
         payload["value"] = decimal_str(cyclotomic_eval(args.n, args.eval_at))

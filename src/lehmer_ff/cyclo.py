@@ -7,8 +7,9 @@ Every cyclotomic object is one Moebius product, never complex roots:
 The coefficients expand it as a power series cut at degree phi(n).  A
 value, Phi_n(a) or the homogeneous b^phi(n) * Phi_n(a/b), is the exact
 quotient prod (a^d - b^d)^{mu(n/d)} for |a| >= 2; for |a| <= 1, where
-a factor may vanish, it comes from the coefficients.  Nothing is
-memoized, and oversized indices and values raise ``SizeCapExceeded``.
+a factor may vanish, it comes from the coefficients.  Of all this only
+an index's Moebius terms are memoized, in a bounded cache, and oversized
+indices and values raise ``SizeCapExceeded``.
 
 A prime p | a^n - b^n is *primitive* when p divides no a^k - b^k with
 1 <= k < n.  ``primitive_part`` computes the product of primitive prime

@@ -80,9 +80,26 @@ def _powers(g: Sequence[int], modulus: Sequence[int], p: int, n: int) -> list[in
     """Encodings of g^0, ..., g^(n-1), for g of degree >= 1 below the
     monic modulus."""
     k = len(modulus) - 1
+    top, *rest = reversed(g)
+    if p == 2:
+        # an encoding is the coefficient bit vector: Horner over the bits
+        # of g, where acc * t is a shift and a carry into t^k is folded
+        # back by xor with the modulus
+        m = sum(c << i for i, c in enumerate(modulus))
+        out, cur = [], 1
+        for _ in range(n):
+            out.append(cur)
+            acc = cur  # top = 1
+            for gj in rest:
+                acc <<= 1
+                if acc >> k:
+                    acc ^= m
+                if gj:
+                    acc ^= cur
+            cur = acc
+        return out
     red = [-c % p for c in modulus[:k]]  # t^k = sum(red[i] * t^i)
     weights = [p**i for i in range(k)]
-    top, *rest = reversed(g)
     out, cur = [], [1] + [0] * (k - 1)
     for _ in range(n):
         out.append(sum(map(operator.mul, cur, weights)))

@@ -9,6 +9,7 @@ division early when the remaining cofactor is prime.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from math import isqrt
 
 from .errors import InvalidInput, UndefinedValuation, VerificationError
@@ -21,6 +22,10 @@ _SMALL_PRIMES = (
 
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# indices whose Moebius terms stay cached; the cyclo-lemmas suite reads
+# 259 distinct indices, and an index holds at most 64 terms below 2^16
+_MOBIUS_CACHE_SIZE = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -96,13 +101,15 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mobius_divisors(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=_MOBIUS_CACHE_SIZE)
+def mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """Pairs (d, mu(n/d)), n first, for the divisors d of n >= 1 where n/d
-    is a product of distinct primes: the nonzero terms of Moebius inversion."""
+    is a product of distinct primes: the nonzero terms of Moebius inversion.
+    Cached per n, so each index is factored once while it stays cached."""
     terms = [(n, 1)]
     for p in factorize(n):
         terms += [(d // p, -mu) for d, mu in terms]
-    return terms
+    return tuple(terms)
 
 
 def euler_phi(n: int) -> int:
@@ -140,50 +147,58 @@ def valuation(p: int, m: int) -> int:
     return v
 
 
-def sigma_phi_sieve(limit: int) -> tuple[array, array]:
-    """(sig, phi), ``'q'`` arrays with sig[n] = sigma(n) and phi[n] = phi(n)
-    for 0 <= n <= limit (both 0 at n = 0), from one smallest-prime-factor
-    sieve.
-
-    One step per n: with p the smallest prime of n and r = n / p, either p
-    does not divide r, and sigma and phi are multiplicative, or it does,
-    and sigma(n) = p * sigma(r) + sigma(m), phi(n) = p * phi(r), where m is
-    r with its power of p removed.  ``rest`` keeps that m for each n.
-    """
-    spf = array("I", [0]) * (limit + 1)  # 0 marks a prime
+def _least_primes(limit: int) -> array:
+    """spf[n] = the smallest prime of a composite n <= limit, 0 elsewhere."""
+    spf = array("I", [0]) * (limit + 1)
     # descending, so the smallest d >= 2 with d | n and d * d <= n, which
-    # is the smallest prime of a composite n, is written last
+    # is the smallest prime of a composite n, is written last; 32 bits hold
+    # every n below 2^32
     for d in range(isqrt(limit), 1, -1):
         spf[d * d :: d] = array("I", [d]) * len(range(d * d, limit + 1, d))
-    # 32 bits hold every n below 2^32; at that limit sig and phi need 64 GiB
-    rest = array("I", [0]) * (limit + 1)
-    sig = array("q", [0]) * (limit + 1)
+    return spf
+
+
+def phi_sieve(limit: int) -> array:
+    """``'q'`` array with phi[n] = phi(n) for 0 <= n <= limit (phi[0] = 0).
+
+    One step per n from r = n / p, p the smallest prime of n: phi(n) is
+    p * phi(r) when p divides r, and (p - 1) * phi(r) when it does not.
+    """
+    spf = _least_primes(limit)
     phi = array("q", [0]) * (limit + 1)
     if limit >= 1:
-        sig[1] = phi[1] = 1
+        phi[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n] or n
+        r = n // p
+        phi[n] = phi[r] * (p if r % p == 0 else p - 1)
+    return phi
+
+
+def sigma_sieve(limit: int) -> array:
+    """``'q'`` array with sig[n] = sigma(n) for 0 <= n <= limit (sig[0] = 0).
+
+    One step per n from r = n / p, p the smallest prime of n: either p
+    does not divide r, and sigma(n) = (p + 1) * sigma(r), or it does, and
+    sigma(n) = p * sigma(r) + sigma(m), where m is r with its power of p
+    removed.  ``rest`` keeps that m for each n.
+    """
+    spf = _least_primes(limit)
+    rest = array("I", [0]) * (limit + 1)
+    sig = array("q", [0]) * (limit + 1)
+    if limit >= 1:
+        sig[1] = 1
     for n in range(2, limit + 1):
         p = spf[n] or n
         r = n // p
         if r % p:
             sig[n] = sig[r] * (p + 1)
-            phi[n] = phi[r] * (p - 1)
             rest[n] = r
         else:
             m = rest[r]
             sig[n] = p * sig[r] + sig[m]
-            phi[n] = p * phi[r]
             rest[n] = m
-    return sig, phi
-
-
-def sigma_sieve(limit: int) -> array:
-    """sig[n] = sum of divisors of n, for 0 <= n <= limit (sig[0] = 0)."""
-    return sigma_phi_sieve(limit)[0]
-
-
-def phi_sieve(limit: int) -> array:
-    """phi[n] for 0 <= n <= limit (phi[0] = 0)."""
-    return sigma_phi_sieve(limit)[1]
+    return sig
 
 
 def ord2(n: int) -> int:

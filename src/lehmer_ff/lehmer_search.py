@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, isqrt
 
 from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
 from .intmath import divisors, euler_phi, ord2, sigma
@@ -197,6 +197,10 @@ def _quartic_root_floor(m: int, bits: int) -> int:
     return isqrt(isqrt(m << 4 * bits))
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
 def _margins(n_max: int, bits: int):
     """Yield (n, coarse, refined) for 7 <= n <= n_max: integer pairs
     (lo, hi) enclosing 2^bits times the left minus the right side of each
@@ -208,24 +212,27 @@ def _margins(n_max: int, bits: int):
         log2n = _log_enclosure(2 * n, bits, log2)
         # log4 + d(n)*log(4/3) + log(2n), common to both margins
         logs = [2 * log2[i] + delta * log43[i] + log2n[i] for i in (0, 1)]
-        # 2^bits * (-1 - d(n)/2 - 1/n)
-        rational = Fraction(-(2 * n + delta * n + 2) << bits, 2 * n)
+        # 2^bits * (-1 - d(n)/2 - 1/n), over the denominator 2n
+        rational = -(2 * n + delta * n + 2) << bits
         root = _quartic_root_floor(n, bits)
         root3 = _quartic_root_floor(n**3, bits)
-        # 2^bits * c(n)*log2*n^(3/4) lies in [power_lo, power_hi]
+        # 2^bits * c(n)*log2*n^(3/4) lies in [power_lo / den, power_hi / den];
+        # the rational plus 2^bits * 1.28*n^(1/4) is over 50n
         c = c_factor(n)
         den = c.denominator << bits
-        power_lo = Fraction(c.numerator * log2[0] * root3, den)
-        power_hi = Fraction(c.numerator * log2[1] * (root3 + 1), den)
+        power_lo = c.numerator * log2[0] * root3
+        power_hi = c.numerator * log2[1] * (root3 + 1)
         coarse = (
-            logs[0] + floor(rational + Fraction(32 * root, 25)) - ceil(power_hi),
-            logs[1] + ceil(rational + Fraction(32 * (root + 1), 25)) - floor(power_lo),
+            logs[0] + (25 * rational + 64 * n * root) // (50 * n)
+            - _ceil_div(power_hi, den),
+            logs[1] + _ceil_div(25 * rational + 64 * n * (root + 1), 50 * n)
+            - power_lo // den,
         )
-        rational += Fraction(sigma(n) << bits, n)
+        rational += 2 * sigma(n) << bits
         phi = euler_phi(n)
         refined = (
-            logs[0] + floor(rational) - phi * log2[1],
-            logs[1] + ceil(rational) - phi * log2[0],
+            logs[0] + rational // (2 * n) - phi * log2[1],
+            logs[1] + _ceil_div(rational, 2 * n) - phi * log2[0],
         )
         yield n, coarse, refined
 
@@ -254,7 +261,8 @@ def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
     if dps < MIN_CANDIDATE_DPS:
         raise InvalidInput(f"need at least {MIN_CANDIDATE_DPS} digits")
     bits = (10**dps).bit_length() + GUARD_BITS
-    gap = PRECISION_GAP * (1 << bits)
+    # an integer clears +-gap exactly when it clears +-ceil(gap)
+    gap = ceil(PRECISION_GAP * (1 << bits))
     found: dict[str, set[int]] = {"coarse": set(), "refined": set()}
     for n, *margins in _margins(n_max, bits):
         for (name, degrees), (lo, hi) in zip(found.items(), margins):

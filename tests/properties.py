@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import ceil, floor, gcd, prod
 
 from lehmer_ff import (
     FieldSpec,
@@ -35,7 +35,13 @@ from lehmer_ff.cyclo import (
     cyclotomic_eval_pair,
 )
 from lehmer_ff.fpoly import _decode_cv
-from lehmer_ff.intmath import divisors, factorize, sigma
+from lehmer_ff.intmath import divisors, euler_phi, factorize, sigma
+from lehmer_ff.lehmer_search import (
+    _atanh_enclosure,
+    _log_enclosure,
+    _quartic_root_floor,
+    c_factor,
+)
 
 # ---------------------------------------------------------------------------
 # reference helpers
@@ -131,6 +137,36 @@ def zsigmondy_by_orders(a: int, b: int, n: int) -> ZsigmondyResult:
         exception=exception,
         primitive_part=prod(p ** exponents[p] for p in primitive),
     )
+
+
+def margins_by_fractions(n_max: int, bits: int):
+    """Reference for ``lehmer_search._margins``: the same enclosures, with
+    every rational kept as a ``Fraction`` and rounded outward by floor
+    and ceil."""
+    log2 = tuple(2 * v for v in _atanh_enclosure(1, 3, bits))
+    log43 = tuple(2 * v for v in _atanh_enclosure(1, 7, bits))
+    for n in range(7, n_max + 1):
+        delta = 1 - n % 2
+        log2n = _log_enclosure(2 * n, bits, log2)
+        logs = [2 * log2[i] + delta * log43[i] + log2n[i] for i in (0, 1)]
+        rational = Fraction(-(2 * n + delta * n + 2) << bits, 2 * n)
+        root = _quartic_root_floor(n, bits)
+        root3 = _quartic_root_floor(n**3, bits)
+        c = c_factor(n)
+        den = c.denominator << bits
+        power_lo = Fraction(c.numerator * log2[0] * root3, den)
+        power_hi = Fraction(c.numerator * log2[1] * (root3 + 1), den)
+        coarse = (
+            logs[0] + floor(rational + Fraction(32 * root, 25)) - ceil(power_hi),
+            logs[1] + ceil(rational + Fraction(32 * (root + 1), 25)) - floor(power_lo),
+        )
+        rational += Fraction(sigma(n) << bits, n)
+        phi = euler_phi(n)
+        refined = (
+            logs[0] + floor(rational) - phi * log2[1],
+            logs[1] + ceil(rational) - phi * log2[0],
+        )
+        yield n, coarse, refined
 
 
 # ---------------------------------------------------------------------------

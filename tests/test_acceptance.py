@@ -34,7 +34,7 @@ from lehmer_ff import (
 )
 from lehmer_ff import suites
 from lehmer_ff.cli import run as cli_run
-from lehmer_ff.intmath import euler_phi, sigma, sigma_phi_sieve
+from lehmer_ff.intmath import euler_phi, phi_sieve
 from lehmer_ff.lehmer_search import PRECISION_GAP, c_factor
 from lehmer_ff.suites import (
     BOUNDS_LIMIT_CAP,
@@ -252,15 +252,23 @@ def test_criterion_10_exact_bounds(capsys):
 
 
 def test_bounds_prefilter_hands_every_boundary_row_to_the_exact_check(monkeypatch):
-    """Crafted rows to 5000, fourth-root groups r = 1..8.  At odd n sig[n]
-    is the least value that breaks the abundancy bound (equality at
-    625 = 5^4), at even n one less; at even n phi[n] is the greatest value
-    that breaks the totient bound (equality at 16, 256, 1296, 4096), at odd
-    n one more.  The suite finds what the plain exact comparisons find."""
+    """Crafted rows to 5000, fourth-root groups r = 1..8, in three runs of
+    the suite with its phi row, ``sigma`` and ``c_factor`` replaced:
+    - at even n phi[n] is the greatest value that breaks the totient bound
+      (equality at 16, 256, 1296, 4096), at odd n one more;
+    - at odd n sig[n] is the least value that breaks the abundancy bound
+      (equality at 625 = 5^4), at even n one less, and every phi sits one
+      below the abundancy prefilter 25*n <= 32*r*phi;
+    - in each group every phi is one above the group test min*r > hi - 1
+      but the last, which is at it.
+    The suite finds what the plain exact comparisons find, and asks for
+    sigma and c(n) exactly where the prefilters leave a row open."""
     limit = 5000
-    sig, phi = [0] * (limit + 1), [0] * (limit + 1)
+    groups = [(r, r**4, min((r + 1) ** 4, limit + 1)) for r in range(1, 9)]
     c4 = {n: (c_factor(n).numerator ** 4, c_factor(n).denominator ** 4)
           for n in range(2, limit + 1)}
+    sig = [0] * (limit + 1)
+    phi_t, phi_h, phi_g = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
     for n in range(1, limit + 1):
         rhs = 1048576 * n**5
         s = isqrt(isqrt(rhs // 390625))
@@ -270,36 +278,58 @@ def test_bounds_prefilter_hands_every_boundary_row_to_the_exact_check(monkeypatc
     for n, (num4, den4) in c4.items():
         f = isqrt(isqrt(num4 * n**3 // den4))
         assert f**4 * den4 <= num4 * n**3 < (f + 1) ** 4 * den4, n
-        phi[n] = f + n % 2
+        phi_t[n] = f + n % 2
+    for r, lo, hi in groups:
+        for n in range(lo, hi):
+            phi_h[n] = (25 * n - 1) // (32 * r)
+            assert 32 * r * phi_h[n] < 25 * n <= 32 * r * (phi_h[n] + 1), n
+            phi_g[n] = (hi - 1) // r + (n < hi - 1)
+        assert phi_g[hi - 1] * r <= hi - 1 < (phi_g[hi - 1] + 1) * r, r
     exact_h = [n for n in range(1, limit + 1) if sig[n] ** 4 * 390625 >= 1048576 * n**5]
-    exact_phi = [n for n, (num4, den4) in c4.items() if phi[n] ** 4 * den4 <= num4 * n**3]
+    exact_phi = [n for n, (num4, den4) in c4.items() if phi_t[n] ** 4 * den4 <= num4 * n**3]
     assert exact_h == list(range(1, limit + 1, 2))
     assert exact_phi == list(range(2, limit + 1, 2))
-    monkeypatch.setattr(suites, "sigma_phi_sieve", lambda n_max: (sig, phi))
-    h_check, phi_check = suite_bounds(limit).checks
-    assert h_check.found == exact_h
+
+    def run(phi):
+        asked = {"sigma": [], "c_factor": []}
+
+        def recorded(name, f):
+            return lambda n: asked[name].append(n) or f(n)
+
+        monkeypatch.setattr(suites, "phi_sieve", lambda n_max: phi)
+        monkeypatch.setattr(suites, "sigma", recorded("sigma", sig.__getitem__))
+        monkeypatch.setattr(suites, "c_factor", recorded("c_factor", c_factor))
+        return suite_bounds(limit).checks, asked
+
+    (_, phi_check), _ = run(phi_t)
     assert phi_check.found == exact_phi
+    (h_check, _), asked = run(phi_h)
+    assert h_check.found == exact_h
+    assert asked["sigma"] == list(range(1, limit + 1))
+    (h_check, phi_check), asked = run(phi_g)
+    assert h_check.found == phi_check.found == asked["sigma"] == []
+    assert asked["c_factor"] == [hi - 1 for _, _, hi in groups]
 
 
 def test_bounds_at_the_cap(monkeypatch):
-    """The largest admitted limit, with spot checks on the one sieve it
+    """The largest admitted limit, with spot checks on the one phi row it
     builds."""
     rows = []
 
     def sieve(n_max):
-        rows.append(sigma_phi_sieve(n_max))
+        rows.append(phi_sieve(n_max))
         return rows[-1]
 
-    monkeypatch.setattr(suites, "sigma_phi_sieve", sieve)
+    monkeypatch.setattr(suites, "phi_sieve", sieve)
     t0 = time.perf_counter()
     h_check, phi_check = suite_bounds(BOUNDS_LIMIT_CAP).checks
     assert time.perf_counter() - t0 < 5
     assert h_check.ok, h_check.found
     assert phi_check.found == TOTIENT_BOUND_VIOLATIONS, phi_check.found
-    (sig, phi), = rows
-    assert len(sig) == len(phi) == BOUNDS_LIMIT_CAP + 1
+    (phi,) = rows
+    assert len(phi) == BOUNDS_LIMIT_CAP + 1
     for n in (2**19, 3**12, 5**8, 7**7, 720720, 997920, 999983, 10**6):
-        assert (sig[n], phi[n]) == (sigma(n), euler_phi(n)), n
+        assert phi[n] == euler_phi(n), n
 
 
 def test_criterion_11_property_suites(capsys, lehmer_sets):

@@ -17,6 +17,7 @@ from lehmer_ff import (
     primitive_part,
     zsigmondy,
 )
+from lehmer_ff import cyclo as cyclo_module
 from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, cyclotomic_eval_pair
 from lehmer_ff.intmath import (
     divisors,
@@ -26,10 +27,10 @@ from lehmer_ff.intmath import (
     mobius_divisors,
     phi_sieve,
     sigma,
-    sigma_phi_sieve,
     sigma_sieve,
     valuation,
 )
+from lehmer_ff.suites import suite_cyclo_lemmas
 from properties import first_dividing_index, zsigmondy_by_orders
 
 
@@ -73,31 +74,53 @@ def test_factorize_matches_a_smallest_prime_factor_sieve():
         assert factorize(n) == expected, n
 
 
-def test_sigma_phi_sieve_matches_factoring():
-    for limit in (0, 1, 2, 3, 16, 17):
-        sig, phi = sigma_phi_sieve(limit)
+def test_sigma_and_phi_sieves_match_factoring():
+    for limit in (0, 1, 2, 3, 16, 17, 5000):
+        sig, phi = sigma_sieve(limit), phi_sieve(limit)
         assert isinstance(sig, array) and isinstance(phi, array), limit
         assert list(sig) == [0] + [sigma(n) for n in range(1, limit + 1)], limit
         assert list(phi) == [0] + [euler_phi(n) for n in range(1, limit + 1)], limit
-    limit = 5000
-    sig, phi = sigma_phi_sieve(limit)
-    assert list(sig) == list(sigma_sieve(limit)) == [0] + [
-        sigma(n) for n in range(1, limit + 1)
-    ]
-    assert list(phi) == list(phi_sieve(limit)) == [0] + [
-        euler_phi(n) for n in range(1, limit + 1)
-    ]
 
 
-def test_sigma_phi_sieve_memory():
-    """Typed rows: 2.4 MB at 10^5, where lists of boxed ints need 8.8 MB."""
+def test_sigma_times_phi_is_below_n_squared():
+    """sigma(n) * phi(n) < n^2 for n >= 2 (Hardy and Wright, Thm 329), the
+    inequality sigma(n)/n < n/phi(n) that lets the bounds suite settle
+    the abundancy bound from phi alone; n = 1 gives equality."""
+    limit = 100_000
+    sig, phi = sigma_sieve(limit), phi_sieve(limit)
+    assert sig[1] * phi[1] == 1
+    assert [n for n in range(2, limit + 1) if sig[n] * phi[n] >= n * n] == []
+
+
+def test_phi_sieve_memory():
+    """Typed rows and no sigma: 1.2 MB at 10^5, where the joint sigma and
+    phi sieve peaked at 2.4 MB and lists of boxed ints need 8.8 MB."""
     tracemalloc.start()
     try:
-        sigma_phi_sieve(100_000)
+        phi_sieve(100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000, peak
+    assert peak < 1_500_000, peak
+
+
+def test_mobius_terms_are_cached_per_index(monkeypatch):
+    """A bounded cache of tuples: the cyclo-lemmas suite factors each of
+    its indices at most once."""
+    assert mobius_divisors.cache_info().maxsize is not None
+    assert isinstance(mobius_divisors(12), tuple)
+    indices = []
+
+    def recorded(n):
+        indices.append(n)
+        return mobius_divisors(n)
+
+    monkeypatch.setattr(cyclo_module, "mobius_divisors", recorded)
+    mobius_divisors.cache_clear()
+    assert suite_cyclo_lemmas().ok
+    info = mobius_divisors.cache_info()
+    assert info.hits + info.misses == len(indices)
+    assert info.misses <= len(set(indices)) < len(indices)
 
 
 def test_cyclotomic_known_polynomials():

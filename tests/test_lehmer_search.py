@@ -37,6 +37,7 @@ from properties import (
     divisibility_structure_violations,
     exponent_map_value,
     exponent_map_violations,
+    margins_by_fractions,
     positive_divisors,
     prop36_partition_allowed,
 )
@@ -380,3 +381,10 @@ def test_margin_enclosures_hold_the_true_margins_rounded_outward(dps):
                         and (hi - lo) * 10 ** (dps - 3) < scale):
                     bad.append(n)
     assert bad == []
+
+
+@pytest.mark.parametrize("bits", [_bits(35), 128])
+def test_integer_margins_equal_the_fraction_reference(bits):
+    """The default 35 digits and a 128-bit scale: every (lo, hi) pair of
+    the integer rounding equals the one ``Fraction`` floor and ceil give."""
+    assert list(_margins(2000, bits)) == list(margins_by_fractions(2000, bits))
