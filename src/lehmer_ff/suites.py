@@ -164,21 +164,23 @@ def suite_prop36(n_max: int = 30) -> SuiteReport:
 
 def suite_cyclo_lemmas() -> SuiteReport:
     report = SuiteReport("cyclo-lemmas")
-    # the checks revisit the same (n, a) pairs about three times each; the
-    # values live only as long as this run
+    # the checks make 29,155 lookups over 2,634 distinct (n, a) pairs; each
+    # value is evaluated once and lives only as long as this run
     values: dict[tuple[int, int], int] = {}
 
     def value(n: int, a: int) -> int:
-        if (n, a) not in values:
-            values[n, a] = cyclotomic_eval(n, a)
-        return values[n, a]
+        try:
+            return values[n, a]
+        except KeyError:
+            values[n, a] = found = cyclotomic_eval(n, a)
+            return found
 
-    bad = [
-        (n, a)
-        for n in range(1, 201)
-        for a in range(2, 11)
-        if _divisor_product(value, n, a) != a**n - 1
-    ]
+    bad = []
+    for n in range(1, 201):
+        divs = divisors(n)
+        bad += [
+            (n, a) for a in range(2, 11) if _divisor_product(value, divs, a) != a**n - 1
+        ]
     report.add_diff("product over divisors rebuilds a^n - 1 (n <= 200)", [], bad)
 
     bad = _check_valuation_lift(value)
@@ -229,9 +231,9 @@ def suite_cyclo_lemmas() -> SuiteReport:
     return report
 
 
-def _divisor_product(value, n: int, a: int) -> int:
+def _divisor_product(value, divs: list[int], a: int) -> int:
     prod = 1
-    for d in divisors(n):
+    for d in divs:
         prod *= value(d, a)
     return prod
 
@@ -262,14 +264,14 @@ def _check_valuation_lift(value) -> list:
 
 
 def _check_divisor_existence(value) -> list:
+    # Phi_n has integer coefficients, so Phi_n(a) mod p depends only on a mod
+    # p, and 1..p holds one a of every class
     bad = []
     for p in (3, 5, 7, 11, 13):
         for n in range(1, 61):
             v = valuation(p, n) if n % p == 0 else 0
             m = n // p**v
-            exists = any(
-                value(n, a) % p == 0 for a in range(1, p * p + 1)
-            )
+            exists = any(value(n, a) % p == 0 for a in range(1, p + 1))
             if exists != ((p - 1) % m == 0):
                 bad.append((p, n))
     return bad

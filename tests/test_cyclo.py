@@ -18,6 +18,7 @@ from lehmer_ff import (
     zsigmondy,
 )
 from lehmer_ff import cyclo as cyclo_module
+from lehmer_ff import suites as suites_module
 from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, cyclotomic_eval_pair
 from lehmer_ff.intmath import (
     divisors,
@@ -121,6 +122,39 @@ def test_mobius_terms_are_cached_per_index(monkeypatch):
     info = mobius_divisors.cache_info()
     assert info.hits + info.misses == len(indices)
     assert info.misses <= len(set(indices)) < len(indices)
+
+
+def test_cyclo_lemma_suite_evaluates_each_value_once(monkeypatch):
+    """One value per (n, a), and the divisor-existence check reads one
+    residue per class: 2,634 evaluations where 1..p^2 made 11,260."""
+    pairs = []
+
+    def counted(n, a):
+        pairs.append((n, a))
+        return cyclotomic_eval(n, a)
+
+    monkeypatch.setattr(suites_module, "cyclotomic_eval", counted)
+    assert suite_cyclo_lemmas().ok
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= 3000, len(pairs)
+
+
+def test_cyclotomic_value_mod_p_depends_only_on_the_residue():
+    """Phi_n(a) mod p equals Horner of the coefficients at a mod p, so 1..p
+    decides whether p divides some Phi_n(a) as 1..p^2 did."""
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 61):
+            coeffs = cyclotomic(n).coeffs
+            divides = []
+            for a in range(1, p * p + 1):
+                r = a % p
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = (acc * r + c) % p
+                residue = cyclotomic_eval(n, a) % p
+                assert residue == acc, (p, n, a)
+                divides.append(residue == 0)
+            assert any(divides[:p]) == any(divides), (p, n)
 
 
 def test_cyclotomic_known_polynomials():
