@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ffield import FieldSpec, field_from_order, field_make
 from .fpoly import parse_poly
-from .intmath import decimal_str, euler_phi
+from .intmath import decimal_str
 from .lehmer_search import (
     Partition,
     candidate_degrees,
@@ -199,8 +199,9 @@ def _cmd_lehmer(args) -> int:
 
 
 def _cmd_cyclotomic(args) -> int:
-    text = str(cyclotomic(args.n))
-    payload = {"n": args.n, "degree": euler_phi(args.n), "poly": text}
+    poly = cyclotomic(args.n)
+    text = str(poly)
+    payload = {"n": args.n, "degree": poly.degree, "poly": text}
     line = f"Phi_{args.n} = {text}"
     if args.eval_at is not None:
         payload["eval_at"] = args.eval_at

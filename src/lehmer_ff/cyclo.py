@@ -31,7 +31,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationError,
 )
-from .intmath import factorize, largest_prime_factor, mobius_divisors
+from .intmath import factorize, mobius_divisors
 
 DEFAULT_FACTORING_BUDGET = 1 << 64
 # about 17x and 13x the largest index and value any suite or test uses
@@ -140,14 +140,6 @@ def cyclotomic_eval(n: int, a: int) -> int:
     return _value(n, a, 1)
 
 
-def cyclotomic_eval_pair(n: int, a: int, b: int) -> int:
-    """Homogeneous value b^phi(n) * Phi_n(a/b) for coprime a > b >= 1."""
-    _check_index(n)
-    if not (a > b >= 1 and gcd(a, b) == 1):
-        raise InvalidInput("need coprime a > b >= 1")
-    return _value(n, a, b)
-
-
 def primitive_part(a: int, b: int, n: int) -> int:
     """Product of primitive prime powers in a^n - b^n, without factoring.
 
@@ -155,8 +147,9 @@ def primitive_part(a: int, b: int, n: int) -> int:
     largest prime factor of n -- from the homogeneous cyclotomic value.
     """
     _check_zsigmondy_args(a, b, n)
-    value = cyclotomic_eval_pair(n, a, b)
-    p0 = largest_prime_factor(n)
+    _check_index(n)
+    value = _value(n, a, b)
+    p0 = max(factorize(n))
     while value % p0 == 0:
         value //= p0
     return value

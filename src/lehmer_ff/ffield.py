@@ -223,7 +223,9 @@ class FieldSpec:
                 raise FieldMismatch(f"{value!r} is not an element of {self!r}")
             return value
         if isinstance(value, int):
-            return FieldElement(self, value % self.q if self.k == 1 else self._check_enc(value))
+            if self.k > 1 and not 0 <= value < self.q:
+                raise ParseError(f"encoding {value} out of range for {self!r}")
+            return FieldElement(self, value % self.q)
         if isinstance(value, str):
             from .fpoly import _coeff_value
 
@@ -231,11 +233,6 @@ class FieldSpec:
         if isinstance(value, Sequence):
             return self.from_coeffs(value)
         raise ParseError(f"cannot build a field element from {value!r}")
-
-    def _check_enc(self, value: int) -> int:
-        if not 0 <= value < self.q:
-            raise ParseError(f"encoding {value} out of range for {self!r}")
-        return value
 
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
         if len(coeffs) > self.k:

@@ -45,6 +45,7 @@ from .errors import (
     InvalidModulus,
     OracleOverflow,
     ParseError,
+    SizeCapExceeded,
     UndefinedGcd,
 )
 from .ffield import FieldElement, FieldSpec, field_make
@@ -380,6 +381,9 @@ def is_irreducible(f: Poly) -> bool:
 
 
 ORACLE_CAP = 1 << 20
+# largest exponent ``parse_poly`` reads: its coefficient list grows to the
+# exponent, about 1 MB at the cap; this bounds memory, not factoring time
+DEGREE_CAP = 1 << 16
 
 
 # one table is enough: every caller asks for one field and degree at a time
@@ -638,6 +642,8 @@ def parse_poly(spec: FieldSpec, text: str, _var: str = "x") -> Poly:
     out: list[int] = []
     for sign, term in _split_terms(s):
         ctext, e = _split_term(term, _var)
+        if e > DEGREE_CAP:
+            raise SizeCapExceeded(f"exponent {e} exceeds the cap {DEGREE_CAP}")
         val = _coeff_value(spec, ctext)
         if e >= len(out):
             out += [0] * (e + 1 - len(out))

@@ -127,12 +127,6 @@ def sigma(n: int) -> int:
     return s
 
 
-def largest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise InvalidInput(f"{n} has no prime factor")
-    return max(factorize(n))
-
-
 def valuation(p: int, m: int) -> int:
     """Largest v with p^v | m, for prime p and m != 0."""
     if m == 0:
@@ -199,13 +193,6 @@ def sigma_sieve(limit: int) -> array:
             sig[n] = p * sig[r] + sig[m]
             rest[n] = m
     return sig
-
-
-def ord2(n: int) -> int:
-    """2-adic valuation of n >= 1 without the primality dance."""
-    if n < 1:
-        raise InvalidInput(f"ord2 undefined for {n}")
-    return (n & -n).bit_length() - 1
 
 
 # digits per str() call: below 640, the lowest int-to-str limit the

@@ -20,7 +20,7 @@ narrows the a = 2 search: the coarse form uses the majorant
 c(n) * log2 * n^(3/4) - log(2n); the refined form uses h(n) itself
 against phi(n) * log2 - log(2n).
 Each margin (left minus right side) is enclosed between two integers at
-scale 2^B, B a few bits above the requested >= 30 decimal digits: logs
+scale 2^B, B a few bits above ``CANDIDATE_DPS`` decimal digits: logs
 from floored atanh series with a bounded remainder, fourth roots from
 nested integer square roots, rationals rounded outward.  No floating
 point decides a comparison; an enclosure that reaches within 1e-6 of
@@ -35,12 +35,15 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
-from .intmath import divisors, euler_phi, ord2, sigma
+from .intmath import divisors, euler_phi, sigma
 
 PRECISION_GAP = Fraction(1, 10**6)
-MIN_CANDIDATE_DPS = 30
-# bits of 2^B beyond the dps digits, so every log and root enclosure is
-# narrower than 10^-(dps - 3) up to n = CANDIDATES_N_MAX_CAP
+# decimal digits that fix the scale 2^B of every enclosure; each is then
+# about 10^-32 wide, far inside PRECISION_GAP, and the sets come out the
+# same at 30 and at 50 digits
+CANDIDATE_DPS = 35
+# bits of 2^B beyond CANDIDATE_DPS digits, so every log and root enclosure
+# is narrower than 10^-(CANDIDATE_DPS - 3) up to n = CANDIDATES_N_MAX_CAP
 GUARD_BITS = 8
 # candidate_degrees(10_000) takes about 0.7 s, and the time grows linearly
 CANDIDATES_N_MAX_CAP = 10_000
@@ -144,21 +147,19 @@ def exponent_map(n: int, part: Partition) -> dict[int, int]:
     in ascending d."""
     if part.n != n:
         raise InvalidInput(f"{part} does not partition {n}")
-    uses = Counter(part.parts)
-    relevant: set[int] = set(divisors(n))
-    for e in uses:
-        relevant.update(divisors(e))
-    return {
-        d: (1 if n % d == 0 else 0) - sum(u for e, u in uses.items() if e % d == 0)
-        for d in sorted(relevant)
-    }
+    exponents = Counter(divisors(n))
+    for e, u in Counter(part.parts).items():
+        for d in divisors(e):
+            exponents[d] -= u
+    return dict(sorted(exponents.items()))
 
 
 def c_factor(n: int) -> Fraction:
-    """Piecewise constant used in the totient lower bound, by ord2(n)."""
+    """Piecewise constant used in the totient lower bound, by the 2-adic
+    valuation of n."""
     if n < 2:
         raise InvalidInput("c_factor needs n >= 2")
-    v = ord2(n)
+    v = (n & -n).bit_length() - 1
     if v == 1:
         return Fraction(59, 100)
     if v == 2:
@@ -237,7 +238,7 @@ def _margins(n_max: int, bits: int):
         yield n, coarse, refined
 
 
-def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
+def candidate_degrees(n_max: int) -> tuple[set[int], set[int]]:
     """(coarse, refined) degree sets from the logarithmic bound comparison.
 
     coarse:  log4 + d(n)*log(4/3) - 1 - d(n)/2 - 1/n + 1.28*n^(1/4)
@@ -246,8 +247,8 @@ def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
              against phi(n)*log2 - log(2n)
 
     with d(n) = 1 for even n, else 0.  Each margin (left minus right) is
-    enclosed in exact integers at scale 2^B, B a few bits above ``dps``
-    decimal digits (at least 30).  A comparison is decided only when the
+    enclosed in exact integers at scale 2^B, B a few bits above
+    ``CANDIDATE_DPS`` decimal digits.  A comparison is decided only when the
     whole enclosure lies outside +-1e-6; otherwise PrecisionAlert is
     raised.  An n_max above ``CANDIDATES_N_MAX_CAP`` raises
     SizeCapExceeded before any work.
@@ -258,9 +259,7 @@ def candidate_degrees(n_max: int, dps: int = 35) -> tuple[set[int], set[int]]:
         )
     if n_max < 7:
         raise InvalidInput("need n_max >= 7")
-    if dps < MIN_CANDIDATE_DPS:
-        raise InvalidInput(f"need at least {MIN_CANDIDATE_DPS} digits")
-    bits = (10**dps).bit_length() + GUARD_BITS
+    bits = (10**CANDIDATE_DPS).bit_length() + GUARD_BITS
     # an integer clears +-gap exactly when it clears +-ceil(gap)
     gap = ceil(PRECISION_GAP * (1 << bits))
     found: dict[str, set[int]] = {"coarse": set(), "refined": set()}

@@ -9,7 +9,8 @@ is visible as data rather than a bare boolean.  Suites are deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 
 from .cyclo import cyclotomic_eval, primitive_part
 from .errors import InvalidInput, SizeCapExceeded
@@ -164,22 +165,17 @@ def suite_prop36(n_max: int = 30) -> SuiteReport:
 
 def suite_cyclo_lemmas() -> SuiteReport:
     report = SuiteReport("cyclo-lemmas")
-    # the checks make 29,155 lookups over 2,634 distinct (n, a) pairs; each
-    # value is evaluated once and lives only as long as this run
-    values: dict[tuple[int, int], int] = {}
-
-    def value(n: int, a: int) -> int:
-        try:
-            return values[n, a]
-        except KeyError:
-            values[n, a] = found = cyclotomic_eval(n, a)
-            return found
+    # the checks make 29,155 lookups over 2,634 distinct (n, a) pairs, so
+    # the cache evicts nothing and each pair is evaluated once, in this run
+    # only; the last check's primitive_part evaluates 54 more values outside
+    # the cache
+    value = lru_cache(maxsize=4096)(cyclotomic_eval)
 
     bad = []
     for n in range(1, 201):
         divs = divisors(n)
         bad += [
-            (n, a) for a in range(2, 11) if _divisor_product(value, divs, a) != a**n - 1
+            (n, a) for a in range(2, 11) if prod(value(d, a) for d in divs) != a**n - 1
         ]
     report.add_diff("product over divisors rebuilds a^n - 1 (n <= 200)", [], bad)
 
@@ -229,13 +225,6 @@ def suite_cyclo_lemmas() -> SuiteReport:
     report.add_diff("primitive part >= value/n >= 2^phi(n)/(2n)", [], bad)
 
     return report
-
-
-def _divisor_product(value, divs: list[int], a: int) -> int:
-    prod = 1
-    for d in divs:
-        prod *= value(d, a)
-    return prod
 
 
 def _check_valuation_lift(value) -> list:

@@ -9,6 +9,7 @@ holds.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, gcd, prod
 
@@ -32,7 +33,7 @@ from lehmer_ff.cyclo import (
     EXCEPTION_POWER_OF_TWO_SUM,
     IntPoly,
     ZsigmondyResult,
-    cyclotomic_eval_pair,
+    _value,
 )
 from lehmer_ff.fpoly import _decode_cv
 from lehmer_ff.intmath import divisors, euler_phi, factorize, sigma
@@ -86,6 +87,20 @@ def exponent_map_value(emap, a: int) -> Fraction:
     return out
 
 
+def exponent_map_two_pass(n: int, part: Partition) -> dict[int, int]:
+    """Reference for ``exponent_map``: collect every d dividing n or a
+    part, then sum, for each d in ascending order, [d | n] minus the uses
+    of the parts that d divides."""
+    uses = Counter(part.parts)
+    relevant: set[int] = set(divisors(n))
+    for e in uses:
+        relevant.update(divisors(e))
+    return {
+        d: (1 if n % d == 0 else 0) - sum(u for e, u in uses.items() if e % d == 0)
+        for d in sorted(relevant)
+    }
+
+
 def abundancy(n: int) -> Fraction:
     """sigma(n)/n in lowest terms."""
     if n < 1:
@@ -123,7 +138,7 @@ def zsigmondy_by_orders(a: int, b: int, n: int) -> ZsigmondyResult:
     a^n - b^n and keep each prime whose order of a/b is n itself."""
     exponents: dict[int, int] = {}
     for d in divisors(n):
-        for p, e in factorize(cyclotomic_eval_pair(d, a, b)).items():
+        for p, e in factorize(_value(d, a, b)).items():
             exponents[p] = exponents.get(p, 0) + e
     primitive = [p for p in sorted(exponents) if first_dividing_index(a, b, p, n) == n]
     exception = None

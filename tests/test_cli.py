@@ -17,6 +17,8 @@ import pytest
 
 from lehmer_ff import InvalidInput, partitions_of
 from lehmer_ff.cli import build_parser, dump_json, run
+from lehmer_ff.fpoly import DEGREE_CAP
+from lehmer_ff.intmath import euler_phi
 from lehmer_ff.suites import SUITE_NAMES
 
 
@@ -134,6 +136,35 @@ def test_cyclotomic_eval_past_int_str_limit(capsys):
     assert 10 ** (digits - 1) <= value < 10**digits
     assert digits > 4300
     assert int(text[-18:]) == value % 10**18
+
+
+def test_cyclotomic_degree_is_phi_of_n(capsys):
+    for n in range(1, 301):
+        code, out, _ = run_cli(capsys, "cyclotomic", "--n", str(n), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["degree"] == euler_phi(n), n
+
+
+@pytest.mark.parametrize(
+    "poly, q, exponent",
+    [
+        ("x^100000000", "2", 100000000),
+        (f"x^{DEGREE_CAP + 1}+1", "2", DEGREE_CAP + 1),
+        ("(t^100000000)*x", "4", 100000000),
+    ],
+)
+def test_exponent_past_the_cap_exits_3_at_once(capsys, poly, q, exponent):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "totient", poly, "--q", q)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == ""
+    assert err == f"error: exponent {exponent} exceeds the cap {DEGREE_CAP}\n"
+
+
+def test_element_exponent_below_the_cap_stays_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "totient", "(t^5)*x", "--q", "4")
+    assert code == 2 and out == ""
+    assert err == "error: exponent 5 out of range in 't^5'\n"
 
 
 def test_totient_over_f65536(capsys):

@@ -19,7 +19,7 @@ from lehmer_ff import (
 )
 from lehmer_ff import cyclo as cyclo_module
 from lehmer_ff import suites as suites_module
-from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, cyclotomic_eval_pair
+from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, _value
 from lehmer_ff.intmath import (
     divisors,
     euler_phi,
@@ -218,13 +218,13 @@ def test_value_product_identity():
 
 
 def test_homogeneous_values():
-    assert cyclotomic_eval_pair(2, 5, 3) == 8
-    assert cyclotomic_eval_pair(6, 2, 1) == 3
+    assert _value(2, 5, 3) == 8
+    assert _value(6, 2, 1) == 3
     for n in range(1, 61):
         for a, b in ((3, 2), (5, 2), (7, 3)):
             prod = 1
             for d in divisors(n):
-                prod *= cyclotomic_eval_pair(d, a, b)
+                prod *= _value(d, a, b)
             assert prod == a**n - b**n, (n, a, b)
 
 
@@ -318,7 +318,7 @@ def test_oversized_values_fail_before_any_work():
     t0 = time.perf_counter()
     for call in (
         lambda: cyclotomic_eval(60000, 10**6),
-        lambda: cyclotomic_eval_pair(60000, 10**6 + 1, 3),
+        lambda: _value(60000, 10**6 + 1, 3),
         lambda: primitive_part(10**6, 1, 60000),
         lambda: cyclotomic(65537),
         lambda: cyclotomic_eval(10**30, 0),

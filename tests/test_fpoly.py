@@ -29,6 +29,7 @@ from lehmer_ff import (
     poly_powmod,
     totient,
 )
+from lehmer_ff.fpoly import DEGREE_CAP
 from properties import all_polys
 
 RNG_SEED = 20260810
@@ -511,6 +512,10 @@ def test_poly_text_examples(f2, f4):
 
 def test_poly_parse_accepts_minus(f3):
     assert parse_poly(f3, "x^2-1") == P(f3, "x^2+2")
+
+
+def test_poly_parse_reads_an_exponent_at_the_cap(f2):
+    assert parse_poly(f2, f"x^{DEGREE_CAP}+1").degree == DEGREE_CAP
 
 
 def test_poly_parse_rejects_garbage(f2):

@@ -35,6 +35,7 @@ from properties import (
     abundancy,
     denominator_multiset,
     divisibility_structure_violations,
+    exponent_map_two_pass,
     exponent_map_value,
     exponent_map_violations,
     margins_by_fractions,
@@ -133,6 +134,17 @@ def test_exponent_map_value_is_the_quotient():
 def test_exponent_map_requires_matching_sum():
     with pytest.raises(InvalidInput):
         exponent_map(5, Partition((1, 1)))
+
+
+def test_exponent_map_equals_the_two_pass_reference():
+    checked = 0
+    for n in range(2, 23):
+        for parts in partitions_of(n):
+            part = Partition(parts)
+            expected = list(exponent_map_two_pass(n, part).items())
+            assert list(exponent_map(n, part).items()) == expected, parts
+            checked += 1
+    assert checked == 4485
 
 
 def test_exponent_map_consistency_small():
@@ -278,16 +290,18 @@ def test_candidate_degrees_empty_beyond_54():
     assert max(refined) == 30
 
 
-def test_candidate_degrees_stable_across_precision():
-    at_30 = candidate_degrees(400, dps=30)
-    assert at_30 == candidate_degrees(400) == candidate_degrees(400, dps=50)
+def test_candidate_degrees_stable_across_precision(monkeypatch):
+    import lehmer_ff.lehmer_search as mod
+
+    default = candidate_degrees(400)
+    for dps in (30, 50):
+        monkeypatch.setattr(mod, "CANDIDATE_DPS", dps)
+        assert candidate_degrees(400) == default, dps
 
 
 def test_candidate_degrees_validation():
     with pytest.raises(InvalidInput):
         candidate_degrees(5)
-    with pytest.raises(InvalidInput):
-        candidate_degrees(100, dps=10)
 
 
 def test_marginal_comparison_raises_precision_alert(monkeypatch):
