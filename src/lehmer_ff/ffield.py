@@ -21,14 +21,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import (
-    DivisionByZero,
-    FieldMismatch,
-    InvalidDegree,
-    InvalidInput,
-    InvalidPrime,
-    ParseError,
-)
+from .errors import DivisionByZero, FieldMismatch, InvalidDegree, InvalidInput, InvalidPrime
 from .intmath import factorize, is_prime
 
 MAX_Q = 1 << 16
@@ -42,14 +35,6 @@ _FIELD_CACHE_SIZE = 16
 # imports this module, so it is imported where it is used
 
 
-def _decode_base(code: int, base: int, width: int) -> list[int]:
-    digits = []
-    for _ in range(width):
-        code, r = divmod(code, base)
-        digits.append(r)
-    return digits
-
-
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree k over F_p."""
     from .fpoly import Poly, _decode_cv, is_irreducible
@@ -57,7 +42,7 @@ def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     fp = field_make(p)
     for code in range(p**k, 2 * p**k):
         cand = _decode_cv(p, code)
-        if is_irreducible(Poly(fp, cand)):
+        if is_irreducible(Poly._raw(fp, cand)):
             return cand
     raise InvalidDegree(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
@@ -217,30 +202,27 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def element(self, value) -> "FieldElement":
-        """Coerce an encoding, coefficient sequence, text, or element."""
-        if isinstance(value, FieldElement):
-            if value.spec is not self and value.spec != self:
-                raise FieldMismatch(f"{value!r} is not an element of {self!r}")
-            return value
-        if isinstance(value, int):
-            if self.k > 1 and not 0 <= value < self.q:
-                raise ParseError(f"encoding {value} out of range for {self!r}")
-            return FieldElement(self, value % self.q)
+        """Coerce text, an encoding or an element of this field."""
         if isinstance(value, str):
             from .fpoly import _coeff_value
 
             return FieldElement(self, _coeff_value(self, value.replace(" ", "")))
-        if isinstance(value, Sequence):
-            return self.from_coeffs(value)
-        raise ParseError(f"cannot build a field element from {value!r}")
+        return FieldElement(self, self._encode(value))
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        if len(coeffs) > self.k:
-            raise ParseError(f"too many coefficients for {self!r}")
-        enc = 0
-        for c in reversed(list(coeffs)):
-            enc = enc * self.p + c % self.p
-        return FieldElement(self, enc)
+    def _encode(self, value) -> int:
+        """The encoding of an int or of an element of this field: an int is
+        a residue mod p in a prime field and an encoding in [0, q) otherwise."""
+        if isinstance(value, int):
+            if self.k == 1:
+                return value % self.q
+            if 0 <= value < self.q:
+                return value
+            raise InvalidInput(f"encoding {value} out of range for {self!r}")
+        if not isinstance(value, FieldElement):
+            raise InvalidInput(f"cannot build an element of {self!r} from {value!r}")
+        if value.spec is not self and value.spec != self:
+            raise FieldMismatch(f"{value!r} is not an element of {self!r}")
+        return value.val
 
     def elements(self) -> Iterator["FieldElement"]:
         return (FieldElement(self, v) for v in range(self.q))
@@ -258,46 +240,26 @@ class FieldElement:
         self.spec = spec
         self.val = val
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients of 1, t, ..., t^(k-1), each in [0, p)."""
-        return tuple(_decode_base(self.val, self.spec.p, self.spec.k))
-
     def is_zero(self) -> bool:
         return self.val == 0
 
     def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatch("elements of different fields")
+        # an element of the same interned field, the common operand, skips
+        # the call into the rule
+        if isinstance(other, FieldElement) and other.spec is self.spec:
             return other.val
-        if isinstance(other, int):
-            if self.spec.k == 1:
-                return other % self.spec.q
-            if not 0 <= other < self.spec.q:
-                raise InvalidInput(f"encoding {other} out of range for {self.spec!r}")
-            return other
-        return NotImplemented
+        return self.spec._encode(other)
 
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.val, v))
+        return FieldElement(self.spec, self.spec.add(self.val, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.val, v))
+        return FieldElement(self.spec, self.spec.sub(self.val, self._coerce(other)))
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.val, v))
+        return FieldElement(self.spec, self.spec.mul(self.val, self._coerce(other)))
 
     __rmul__ = __mul__
 
@@ -305,10 +267,8 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.neg(self.val))
 
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.val, self.spec.inv(v)))
+        inv = self.spec.inv(self._coerce(other))
+        return FieldElement(self.spec, self.spec.mul(self.val, inv))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -331,8 +291,6 @@ class FieldElement:
                 (self.spec is other.spec or self.spec == other.spec)
                 and self.val == other.val
             )
-        if isinstance(other, int) and self.spec.k == 1:
-            return self.val == other % self.spec.p
         return NotImplemented
 
     def __hash__(self) -> int:

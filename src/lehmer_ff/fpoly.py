@@ -187,21 +187,8 @@ class Poly:
     __slots__ = ("spec", "cv")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence = ()):
-        vals: list[int] = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.spec is not spec and c.spec != spec:
-                    raise FieldMismatch("coefficient from a different field")
-                vals.append(c.val)
-            elif isinstance(c, int):
-                vals.append(c % spec.q if spec.k == 1 else c)
-            else:
-                raise InvalidInput(f"bad coefficient {c!r}")
-        for v in vals:
-            if not 0 <= v < spec.q:
-                raise InvalidInput(f"coefficient encoding {v} out of range")
         self.spec = spec
-        self.cv = tuple(_trim(vals))
+        self.cv = tuple(_trim(list(map(spec._encode, coeffs))))
 
     @classmethod
     def _raw(cls, spec: FieldSpec, cv) -> "Poly":
@@ -247,47 +234,32 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            raise InvalidInput(f"expected a polynomial, got {other!r}")
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise FieldMismatch("polynomials over different fields")
-        return other
-
     def __add__(self, other: "Poly") -> "Poly":
-        other = self._check(other)
-        return Poly._raw(self.spec, _add_cv(self.spec, self.cv, other.cv))
+        spec = _same_field(self, other)
+        return Poly._raw(spec, _add_cv(spec, self.cv, other.cv))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        other = self._check(other)
-        return Poly._raw(self.spec, _sub_cv(self.spec, self.cv, other.cv))
+        spec = _same_field(self, other)
+        return Poly._raw(spec, _sub_cv(spec, self.cv, other.cv))
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatch("scalar from a different field")
-            mul = self.spec.mul
-            return Poly._raw(self.spec, tuple(_trim([mul(c, other.val) for c in self.cv])))
-        other = self._check(other)
-        return Poly._raw(self.spec, _mul_cv(self.spec, self.cv, other.cv))
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.__mul__(other)
-        return NotImplemented
+            v, mul = self.spec._encode(other), self.spec.mul
+            return Poly._raw(self.spec, tuple(_trim([mul(c, v) for c in self.cv])))
+        spec = _same_field(self, other)
+        return Poly._raw(spec, _mul_cv(spec, self.cv, other.cv))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        other = self._check(other)
-        q, r = _divmod_cv(self.spec, self.cv, other.cv)
-        return Poly._raw(self.spec, q), Poly._raw(self.spec, r)
+        spec = _same_field(self, other)
+        q, r = _divmod_cv(spec, self.cv, other.cv)
+        return Poly._raw(spec, q), Poly._raw(spec, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        other = self._check(other)
-        rem = _reduce_cv(self.spec, list(self.cv), other.cv)
-        return Poly._raw(self.spec, tuple(rem))
+        spec = _same_field(self, other)
+        return Poly._raw(spec, tuple(_reduce_cv(spec, list(self.cv), other.cv)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -304,6 +276,16 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<{format_poly(self)} over F_{self.spec.q}>"
+
+
+def _same_field(f, g) -> FieldSpec:
+    """The field of two polynomials over equal fields; raises on any other
+    pair of operands."""
+    if not (isinstance(f, Poly) and isinstance(g, Poly)):
+        raise InvalidInput(f"expected two polynomials, got {f!r} and {g!r}")
+    if f.spec is not g.spec and f.spec != g.spec:
+        raise FieldMismatch("polynomials over different fields")
+    return f.spec
 
 
 @dataclass(frozen=True)
@@ -344,22 +326,20 @@ class Factorization:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(f, 0) is the monic normalization of f."""
-    if f.spec is not g.spec and f.spec != g.spec:
-        raise FieldMismatch("polynomials over different fields")
+    spec = _same_field(f, g)
     if f.is_zero() and g.is_zero():
         raise UndefinedGcd("gcd(0, 0) is undefined")
-    return Poly._raw(f.spec, _gcd_cv(f.spec, f.cv, g.cv))
+    return Poly._raw(spec, _gcd_cv(spec, f.cv, g.cv))
 
 
 def poly_powmod(g: Poly, e: int, f: Poly) -> Poly:
     """g^e mod f by square-and-multiply (e may be huge)."""
-    if f.spec is not g.spec and f.spec != g.spec:
-        raise FieldMismatch("polynomials over different fields")
+    spec = _same_field(g, f)
     if len(f.cv) < 2:
         raise InvalidModulus("modulus must have degree >= 1")
     if e < 0:
         raise InvalidInput("exponent must be nonnegative")
-    return Poly._raw(g.spec, _powmod_cv(g.spec, g.cv, e, f.cv))
+    return Poly._raw(spec, _powmod_cv(spec, g.cv, e, f.cv))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -22,7 +22,6 @@ from lehmer_ff import (
 )
 from lehmer_ff.ffield import (
     _canonical_modulus,
-    _decode_base,
     _generator,
     _powers,
     field_from_order,
@@ -199,7 +198,7 @@ def test_element_text_roundtrip(p, k):
 
 def test_element_text_examples(f4, f9):
     assert str(f4.element("t+1")) == "t+1"
-    assert str(f9.from_coeffs([2, 1])) == "t+2"
+    assert str(f9.element(5)) == "t+2"
     assert str(f9.zero) == "0"
     assert str(f9.element("2*t+1")) == "2*t+1"
     assert str(f9.element("2t + 1")) == "2*t+1"
@@ -231,10 +230,24 @@ def test_int_operands_in_extension_fields_are_encodings(f4):
         one + (-1)
 
 
-def test_coeffs_view(f9):
-    a = f9.from_coeffs([2, 1])  # 2 + t
-    assert a.coeffs == (2, 1)
-    assert f9.element(a.coeffs).val == a.val
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2)])
+def test_equal_objects_hash_equal(p, k):
+    """An element equals only elements, so equality never outruns the hash:
+    not an int (no hash agrees with equality mod p), but an element of an
+    equal field rebuilt after the intern cache was cleared."""
+    from lehmer_ff.ffield import _field_make_cached
+
+    spec = field_make(p, k)
+    _field_make_cached.cache_clear()
+    rebuilt = field_make(p, k)
+    assert rebuilt is not spec
+    values = [*spec.elements(), *rebuilt.elements(), *range(-10, 11)]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert spec.element(2) != 2
+    assert spec.element(2) in {rebuilt.element(2)}
 
 
 def test_spec_pickles_by_parameters(f4):
@@ -261,15 +274,18 @@ def _reference_ops(spec):
     def encode(v):
         return sum(c * p**i for i, c in enumerate(v))
 
+    def digits(a):
+        return [a // p**i % p for i in range(k)]
+
     def add(a, b):
-        pairs = zip(_decode_base(a, p, k), _decode_base(b, p, k))
+        pairs = zip(digits(a), digits(b))
         return encode([(x + y) % p for x, y in pairs])
 
     def neg(a):
-        return encode([-x % p for x in _decode_base(a, p, k)])
+        return encode([-x % p for x in digits(a)])
 
     def mul(a, b):
-        prod = _mul_cv(fp, _decode_base(a, p, k), _decode_base(b, p, k))
+        prod = _mul_cv(fp, digits(a), digits(b))
         return encode(_reduce_cv(fp, list(prod), modulus))
 
     return add, neg, mul

@@ -109,6 +109,59 @@ def test_powmod_additivity_random(f5):
         assert lhs == rhs
 
 
+def _outcome(build):
+    """What ``build()`` returns, or the class of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 8)])
+def test_one_rule_turns_an_int_or_an_element_into_an_encoding(p, k):
+    """A coefficient, ``element`` and an arithmetic operand read a value
+    the same way: an int is a residue mod p in a prime field and an
+    encoding in [0, q) otherwise, an element of an equal field is its
+    encoding, and anything else is refused with one exception class."""
+    from lehmer_ff.ffield import _field_make_cached
+
+    spec = field_make(p, k)
+    _field_make_cached.cache_clear()
+    rebuilt = field_make(p, k)
+    assert rebuilt is not spec and rebuilt == spec
+    q = spec.q
+    cases = [
+        (v, v % q if k == 1 else v if 0 <= v < q else InvalidInput)
+        for v in range(-q - 1, 2 * q + 2)
+    ]
+    cases += [
+        (spec.element(q - 1), q - 1),
+        (rebuilt.element(1), 1),
+        (field_make(3).element(1), FieldMismatch),
+        (1.0, InvalidInput),
+    ]
+    for v, expected in cases:
+        outcomes = [
+            _outcome(lambda: Poly(spec, [v, 1]).cv[0]),
+            _outcome(lambda: spec.element(v).val),
+            _outcome(lambda: (spec.zero + v).val),
+        ]
+        assert outcomes == [expected] * 3, (v, outcomes)
+
+
+def test_two_operand_functions_refuse_a_non_polynomial(f2):
+    x = Poly.x(f2)
+    for other in (3, f2.one, None, "x"):
+        for call in (
+            lambda: poly_gcd(x, other),
+            lambda: poly_gcd(other, x),
+            lambda: poly_powmod(other, 2, x),
+            lambda: poly_powmod(x, 2, other),
+        ):
+            with pytest.raises(InvalidInput):
+                call()
+
+
 def test_powmod_requires_degree_one_modulus(f2):
     with pytest.raises(InvalidModulus):
         poly_powmod(P(f2, "x"), 2, Poly.one(f2))

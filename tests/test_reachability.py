@@ -55,7 +55,6 @@ BENCH_POLY = "bench/ calls it on Poly values in checks.py, probe.py or workloads
 # package functions that no call in CALLS enters, each with why it stays
 KEPT = {
     "cli.main": "the console script's entry point; the calls enter run() below it",
-    "ffield._decode_base": FIELD_ELEMENTS,
     "ffield.FieldSpec.__reduce__": SPEC_VALUE,
     "ffield.FieldSpec.__eq__": SPEC_VALUE,
     "ffield.FieldSpec.__hash__": SPEC_VALUE,
@@ -63,9 +62,7 @@ KEPT = {
     "ffield.FieldSpec.zero": FIELD_ELEMENTS,
     "ffield.FieldSpec.one": FIELD_ELEMENTS,
     "ffield.FieldSpec.element": "bench/probe.py builds its field-op samples with it",
-    "ffield.FieldSpec.from_coeffs": FIELD_ELEMENTS,
     "ffield.FieldSpec.elements": FIELD_ELEMENTS,
-    "ffield.FieldElement.coeffs": FIELD_ELEMENTS,
     "ffield.FieldElement.is_zero": FIELD_ELEMENTS,
     "ffield.FieldElement._coerce": FIELD_ELEMENTS,
     "ffield.FieldElement.__add__": FIELD_ELEMENTS,
@@ -79,13 +76,13 @@ KEPT = {
     "ffield.FieldElement.__hash__": FIELD_ELEMENTS,
     "ffield.FieldElement.__str__": FIELD_ELEMENTS,
     "ffield.FieldElement.__repr__": FIELD_ELEMENTS,
+    "fpoly.Poly.__init__": BENCH_POLY,
     "fpoly.Poly.zero": POLY_API,
     "fpoly.Poly.x": BENCH_POLY,
     "fpoly.Poly.coeffs": POLY_API,
     "fpoly.Poly.is_monic": BENCH_POLY,
     "fpoly.Poly.__add__": POLY_API,
     "fpoly.Poly.__sub__": BENCH_POLY,
-    "fpoly.Poly.__rmul__": POLY_API,
     "fpoly.Poly.__divmod__": BENCH_POLY,
     "fpoly.Poly.__floordiv__": POLY_API,
     "fpoly.Poly.__mod__": POLY_API,
