@@ -280,9 +280,9 @@ class Poly:
 
 def _same_field(f, g) -> FieldSpec:
     """The field of two polynomials over equal fields; raises on any other
-    pair of operands."""
+    pair of operands.  ``_same_field(f, f)`` checks a single operand."""
     if not (isinstance(f, Poly) and isinstance(g, Poly)):
-        raise InvalidInput(f"expected two polynomials, got {f!r} and {g!r}")
+        raise InvalidInput(f"expected a polynomial, got {g if isinstance(f, Poly) else f!r}")
     if f.spec is not g.spec and f.spec != g.spec:
         raise FieldMismatch("polynomials over different fields")
     return f.spec
@@ -346,10 +346,10 @@ def is_irreducible(f: Poly) -> bool:
     """Distinct-degree test: f of degree n is reducible exactly when it
     has an irreducible factor of degree i <= n/2, that is when
     gcd(x^(q^i) - x, f) != 1 for some such i."""
+    spec = _same_field(f, f)
     deg = len(f.cv) - 1
     if deg < 1:
         raise InvalidInput("irreducibility is defined for degree >= 1")
-    spec = f.spec
     cv = _monic_cv(spec, f.cv)
     x = (0, 1)
     h = x
@@ -474,9 +474,9 @@ def factor_bruteforce(f: Poly, _max_degree: int = 0) -> Factorization:
 
 
 def _factorization(f: Poly, factor_cv) -> Factorization:
+    spec = _same_field(f, f)
     if f.is_zero():
         raise CannotFactorZero("cannot factor the zero polynomial")
-    spec = f.spec
     return Factorization(
         unit=FieldElement(spec, f.cv[-1]),
         factors=tuple((Poly._raw(spec, cv), m) for cv, m in factor_cv(spec, f.cv)),

@@ -13,10 +13,10 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .cyclo import cyclotomic_eval, primitive_part
-from .errors import InvalidInput, SizeCapExceeded
+from .errors import InvalidInput
 from .ffield import FieldSpec, field_from_order
 from .fpoly import Poly, enumerate_polys, irreducibles
-from .intmath import divisors, euler_phi, is_prime, phi_sieve, sigma, valuation
+from .intmath import decimal_str, divisors, euler_phi, is_prime, phi_sieve, sigma_sieve, valuation
 from .lehmer_search import c_factor, classify_a_ge_3, verify_prop36
 from .totient import (
     lehmer_set_bruteforce,
@@ -24,12 +24,6 @@ from .totient import (
     totient_bruteforce,
 )
 
-# the coarse candidate-degree list as stated; the coarse inequality also
-# admits 28 and 36 (margins ~1.202 and ~0.427, the same at 35 and 60
-# digits), both of which the refined filter rejects
-COARSE_DEGREES = set(range(7, 23)) | {24, 26, 30, 34, 38, 42, 46, 50, 54}
-# classification answers the sweeps must reproduce
-REFINED_DEGREES = {8, 9, 10, 12, 14, 18, 20, 24, 30}
 PROP31_SOLUTIONS = {(3, (1, 1)), (3, (1, 1, 1, 1))}
 PROP36_SOLUTIONS = {(2, (1, 1)), (4, (1, 1, 2)), (6, (1, 2, 3))}
 
@@ -289,40 +283,35 @@ def _check_value_gcds(value) -> list:
 # exact bound suite
 
 
-# 10x the default; `verify --suite bounds` at this limit takes about 0.35 s
-# and 28 MB peak RSS in a fresh interpreter on a 2-vCPU machine
-BOUNDS_LIMIT_CAP = 1_000_000
+# Both bounds hold at every n >= P_5 = 2310, so the suite checks only the
+# n below it.  With P_k the k-th primorial and M_k = prod_{i<=k} p_i/(p_i-1),
+# an n in [P_k, P_{k+1}) has at most k distinct primes, so for n >= 2
+# sigma(n)/n < n/phi(n) <= M_k (Hardy and Wright, Thm 329: sigma*phi < n^2).
+# M_5^4 = (77/16)^4 < P_5, and k -> k + 1 multiplies M_k^4 by (p/(p-1))^4
+# and P_k by p = p_{k+1} >= 13, where (p - 1)^4 > p^3 since
+# (p - 1)^4 / p^3 = (p - 1)(1 - 1/p)^3 grows with p.  So M_k^4 < P_k <= n,
+# and sigma(n)/n < n^(1/4), phi(n) > n^(3/4) >= c(n) n^(3/4) as c(n) <= 1.
+# P_4 = 210 would not do: M_4^4 = (35/8)^4 > 366.
+PRIMORIAL_TAIL = 2310
 
 
 def suite_bounds(n_max: int = 100_000) -> SuiteReport:
-    if n_max > BOUNDS_LIMIT_CAP:
-        raise SizeCapExceeded(f"bounds limit {n_max} exceeds the cap {BOUNDS_LIMIT_CAP}")
     report = SuiteReport("bounds")
-    phi = phi_sieve(n_max)
-    bad_h, bad_phi = [], []
-    r = 1
-    while r**4 <= n_max:
-        # n^(1/4) >= r on [r^4, (r + 1)^4).  As sigma(n)/n <= n/phi(n),
-        # equal only at n = 1, 25*n <= 32*r*phi proves the abundancy bound,
-        # and phi*r > n proves the totient bound (c(n) <= 1); the rest get
-        # the exact cross-multiplied fourth powers
-        lo, hi = r**4, min((r + 1) ** 4, n_max + 1)
-        row = phi[lo:hi]
-        # otherwise phi*r > n at every n of the group, which passes both
-        if min(row) * r <= hi - 1:
-            for n, f in zip(range(lo, hi), row):
-                if 25 * n > 32 * r * f and sigma(n) ** 4 * 390625 >= 1048576 * n**5:
-                    bad_h.append(n)
-                if f * r <= n and n > 1:
-                    c = c_factor(n)
-                    if f**4 * c.denominator**4 <= c.numerator**4 * n**3:
-                        bad_phi.append(n)
-        r += 1
+    top = min(n_max, PRIMORIAL_TAIL - 1)
+    sig, phi = sigma_sieve(top), phi_sieve(top)
+    # both bounds as exact fourth powers, with 1.28 = 32/25
+    bad_h = [n for n in range(1, top + 1) if sig[n] ** 4 * 390625 >= 1048576 * n**5]
+    bad_phi = []
+    for n in range(2, top + 1):
+        c = c_factor(n)
+        if phi[n] ** 4 * c.denominator**4 <= c.numerator**4 * n**3:
+            bad_phi.append(n)
+    limit = decimal_str(n_max)
     report.add_diff(
-        f"abundancy bound sigma(n)/n < 1.28*n^(1/4) for n <= {n_max}", [], bad_h
+        f"abundancy bound sigma(n)/n < 1.28*n^(1/4) for n <= {limit}", [], bad_h
     )
     report.add_diff(
-        f"totient bound phi(n) > c(n)*n^(3/4) for 2 <= n <= {n_max}", [], bad_phi
+        f"totient bound phi(n) > c(n)*n^(3/4) for 2 <= n <= {limit}", [], bad_phi
     )
     return report
 

@@ -48,6 +48,7 @@ from .fpoly import (
     _least_factor_sieve,
     _monic_cv,
     _monic_multiples,
+    _same_field,
     factor,
     factor_bruteforce,
     irreducible_count,
@@ -59,9 +60,10 @@ from .lehmer_search import lehmer_partitions
 
 def totient(f: Poly) -> int:
     """phi(q, f) computed from the factorization of f."""
+    spec = _same_field(f, f)
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
-    return _phi_from_parts(f.spec.q, _factor_cv(f.spec, f.cv))
+    return _phi_from_parts(spec.q, _factor_cv(spec, f.cv))
 
 
 def _phi_from_parts(q: int, parts) -> int:
@@ -91,9 +93,9 @@ def totient_bruteforce(f: Poly) -> int:
     independent oracle for :func:`totient`.  Raises OracleOverflow when
     q^deg(f) exceeds ``ORACLE_CAP``.
     """
+    spec = _same_field(f, f)
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
-    spec = f.spec
     n = len(f.cv) - 1
     q = spec.q
     if q**n > ORACLE_CAP:
@@ -143,6 +145,7 @@ class TotientReport:
 
 
 def totient_report(f: Poly) -> TotientReport:
+    _same_field(f, f)
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
     return _report(f, factor(f))
@@ -237,7 +240,7 @@ def _phi_rows(spec: FieldSpec, max_degree: int) -> list[array]:
     """phi[n][r] = phi(q, f) for the monic f of degree n <= max_degree
     with encoding q^n + r (phi[0] holds f = 1).
 
-    The one step per entry of ``intmath.sigma_phi_sieve``, with q^d in
+    The one step per entry of ``intmath.phi_sieve``, with q^d in
     place of p: with P of degree d the least factor of f and g = f / P,
     phi(f) is phi(g) * q^d when P also divides g, that is when P is g's
     least factor, and else phi(g) * (q^d - 1)."""

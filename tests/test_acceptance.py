@@ -8,13 +8,14 @@ The strict totient lower bound phi(n) > c(n)*n^(3/4) fails at exactly
 n in {3, 6, 12, 16, 24, 48} for n <= 1e5, with equality at n = 16,
 confirmed here by an exact integer check.  Either test fails if a
 counterexample appears or disappears.  The refined candidate set and
-every classification built on it are unaffected.  Two tests beside
-criterion 10 hold its suite to the exact comparisons on crafted rows at
-both bounds, and run it at its cap.
+every classification built on it are unaffected.  Beside criterion 10,
+three tests check the primorial argument that settles both bounds for
+every n >= 2310 in exact rationals, check both bounds one n at a time
+from 2310 to 1e5, and run the suite far past that range.
 """
 
 import time
-from math import isqrt
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -32,14 +33,11 @@ from lehmer_ff import (
     verify_prop36,
     zsigmondy,
 )
-from lehmer_ff import suites
 from lehmer_ff.cli import run as cli_run
-from lehmer_ff.intmath import euler_phi, phi_sieve
+from lehmer_ff.intmath import decimal_str, euler_phi, phi_sieve, sigma_sieve
 from lehmer_ff.lehmer_search import PRECISION_GAP, c_factor
 from lehmer_ff.suites import (
-    BOUNDS_LIMIT_CAP,
-    COARSE_DEGREES,
-    REFINED_DEGREES,
+    PRIMORIAL_TAIL,
     expected_lehmer_monic,
     suite_bounds,
     suite_cyclo_lemmas,
@@ -128,6 +126,13 @@ def test_criterion_05_capped_partitions(capsys):
     assert found == expected
     assert elapsed <= 60
 
+
+# the coarse candidate-degree list as stated; the coarse inequality also
+# admits 28 and 36 (margins ~1.202 and ~0.427, the same at 35 and 60
+# digits), both of which the refined filter rejects
+COARSE_DEGREES = set(range(7, 23)) | {24, 26, 30, 34, 38, 42, 46, 50, 54}
+# classification answers the sweeps must reproduce
+REFINED_DEGREES = {8, 9, 10, 12, 14, 18, 20, 24, 30}
 
 # degrees the coarse inequality admits beyond the stated list, with their
 # margins (left side minus right side) to ten significant digits
@@ -251,85 +256,61 @@ def test_criterion_10_exact_bounds(capsys):
     assert equal_at == [16], equal_at
 
 
-def test_bounds_prefilter_hands_every_boundary_row_to_the_exact_check(monkeypatch):
-    """Crafted rows to 5000, fourth-root groups r = 1..8, in three runs of
-    the suite with its phi row, ``sigma`` and ``c_factor`` replaced:
-    - at even n phi[n] is the greatest value that breaks the totient bound
-      (equality at 16, 256, 1296, 4096), at odd n one more;
-    - at odd n sig[n] is the least value that breaks the abundancy bound
-      (equality at 625 = 5^4), at even n one less, and every phi sits one
-      below the abundancy prefilter 25*n <= 32*r*phi;
-    - in each group every phi is one above the group test min*r > hi - 1
-      but the last, which is at it.
-    The suite finds what the plain exact comparisons find, and asks for
-    sigma and c(n) exactly where the prefilters leave a row open."""
-    limit = 5000
-    groups = [(r, r**4, min((r + 1) ** 4, limit + 1)) for r in range(1, 9)]
-    c4 = {n: (c_factor(n).numerator ** 4, c_factor(n).denominator ** 4)
-          for n in range(2, limit + 1)}
-    sig = [0] * (limit + 1)
-    phi_t, phi_h, phi_g = [0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1)
-    for n in range(1, limit + 1):
-        rhs = 1048576 * n**5
-        s = isqrt(isqrt(rhs // 390625))
-        s += s**4 * 390625 < rhs
-        assert (s - 1) ** 4 * 390625 < rhs <= s**4 * 390625, n
-        sig[n] = s - 1 + n % 2
-    for n, (num4, den4) in c4.items():
-        f = isqrt(isqrt(num4 * n**3 // den4))
-        assert f**4 * den4 <= num4 * n**3 < (f + 1) ** 4 * den4, n
-        phi_t[n] = f + n % 2
-    for r, lo, hi in groups:
-        for n in range(lo, hi):
-            phi_h[n] = (25 * n - 1) // (32 * r)
-            assert 32 * r * phi_h[n] < 25 * n <= 32 * r * (phi_h[n] + 1), n
-            phi_g[n] = (hi - 1) // r + (n < hi - 1)
-        assert phi_g[hi - 1] * r <= hi - 1 < (phi_g[hi - 1] + 1) * r, r
-    exact_h = [n for n in range(1, limit + 1) if sig[n] ** 4 * 390625 >= 1048576 * n**5]
-    exact_phi = [n for n, (num4, den4) in c4.items() if phi_t[n] ** 4 * den4 <= num4 * n**3]
-    assert exact_h == list(range(1, limit + 1, 2))
-    assert exact_phi == list(range(2, limit + 1, 2))
+def test_primorial_tail_certificate():
+    """The proof behind ``suites.PRIMORIAL_TAIL``, in exact rationals.
 
-    def run(phi):
-        asked = {"sigma": [], "c_factor": []}
-
-        def recorded(name, f):
-            return lambda n: asked[name].append(n) or f(n)
-
-        monkeypatch.setattr(suites, "phi_sieve", lambda n_max: phi)
-        monkeypatch.setattr(suites, "sigma", recorded("sigma", sig.__getitem__))
-        monkeypatch.setattr(suites, "c_factor", recorded("c_factor", c_factor))
-        return suite_bounds(limit).checks, asked
-
-    (_, phi_check), _ = run(phi_t)
-    assert phi_check.found == exact_phi
-    (h_check, _), asked = run(phi_h)
-    assert h_check.found == exact_h
-    assert asked["sigma"] == list(range(1, limit + 1))
-    (h_check, phi_check), asked = run(phi_g)
-    assert h_check.found == phi_check.found == asked["sigma"] == []
-    assert asked["c_factor"] == [hi - 1 for _, _, hi in groups]
+    With P_k the k-th primorial and M_k = prod_{i<=k} p_i/(p_i - 1), both
+    bounds hold at every n >= P_k once M_k^4 < P_k holds for k and every
+    later index.  The step from k to k + 1 multiplies M_k^4 by
+    (p/(p - 1))^4 and P_k by p = p_{k+1}; it keeps the inequality when
+    (p - 1)^4 > p^3.  That holds at p_6 = 13 and for every larger p,
+    because (p - 1)^4 / p^3 = (p - 1)(1 - 1/p)^3 is a product of two
+    positive factors that both grow with p."""
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    primorial, m = [1], [Fraction(1)]
+    for p in primes:
+        primorial.append(primorial[-1] * p)
+        m.append(m[-1] * Fraction(p, p - 1))
+    # the constant is the least primorial with M_k^4 < P_k
+    k = next(k for k in range(1, len(primes) + 1) if m[k] ** 4 < primorial[k])
+    assert (k, primorial[k]) == (5, PRIMORIAL_TAIL)
+    assert m[5] == Fraction(77, 16) and m[5] ** 4 < 2310
+    # a tail starting at P_4 = 210 would not be proved
+    assert primorial[4] == 210 and m[4] ** 4 >= 210
+    # the induction step from p_6 = 13 on, and its monotonicity
+    assert primes[5] == 13 and 12**4 > 13**3
+    ratio = [Fraction((p - 1) ** 4, p**3) for p in range(13, 2000)]
+    assert all(a < b for a, b in zip(ratio, ratio[1:]))
+    # what the induction gives, checked directly over 12 more primorials
+    assert all(m[j] ** 4 < primorial[j] for j in range(5, len(primes) + 1))
+    # c(n) <= 1 at every 2-adic valuation
+    assert max(c_factor(3 << v) for v in range(64)) == 1
 
 
-def test_bounds_at_the_cap(monkeypatch):
-    """The largest admitted limit, with spot checks on the one phi row it
-    builds."""
-    rows = []
+def test_bounds_hold_past_the_tail():
+    """Both exact comparisons of the bounds suite at every n in
+    [PRIMORIAL_TAIL, 1e5], on sieve rows: the tail that the suite takes
+    from the primorial argument, checked one n at a time."""
+    limit = 100_000
+    sig, phi = sigma_sieve(limit), phi_sieve(limit)
+    tail = range(PRIMORIAL_TAIL, limit + 1)
+    assert [n for n in tail if sig[n] ** 4 * 390625 >= 1048576 * n**5] == []
+    bad = []
+    for n in tail:
+        c = c_factor(n)
+        if phi[n] ** 4 * c.denominator**4 <= c.numerator**4 * n**3:
+            bad.append(n)
+    assert bad == []
 
-    def sieve(n_max):
-        rows.append(phi_sieve(n_max))
-        return rows[-1]
 
-    monkeypatch.setattr(suites, "phi_sieve", sieve)
+@pytest.mark.parametrize("n_max", [10**12, 10**5000], ids=["1e12", "1e5000"])
+def test_bounds_suite_work_does_not_grow_with_n_max(n_max):
     t0 = time.perf_counter()
-    h_check, phi_check = suite_bounds(BOUNDS_LIMIT_CAP).checks
-    assert time.perf_counter() - t0 < 5
+    h_check, phi_check = suite_bounds(n_max).checks
+    assert time.perf_counter() - t0 < 0.5
     assert h_check.ok, h_check.found
     assert phi_check.found == TOTIENT_BOUND_VIOLATIONS, phi_check.found
-    (phi,) = rows
-    assert len(phi) == BOUNDS_LIMIT_CAP + 1
-    for n in (2**19, 3**12, 5**8, 7**7, 720720, 997920, 999983, 10**6):
-        assert phi[n] == euler_phi(n), n
+    assert h_check.label.endswith(f"for n <= {decimal_str(n_max)}")
 
 
 def test_criterion_11_property_suites(capsys, lehmer_sets):

@@ -339,8 +339,6 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         ("cyclotomic", "--n", str(10**18)),
         ("cyclotomic", "--n", "65536", "--eval", "1000000"),
         ("cyclotomic", "--n", "60000", "--eval", str(10**12)),
-        ("verify", "--suite", "bounds", "--n-max", "1000001"),
-        ("verify", "--suite", "bounds", "--n-max", str(10**12)),
         ("candidates", "--n-max", "10001"),
         ("candidates", "--n-max", str(10**12)),
         ("partitions", "--a", "2", "--n-max", "31", "--all"),
@@ -462,6 +460,22 @@ def test_verify_bounds_reports_known_failures(capsys):
     phi_check = payload["checks"][1]
     assert phi_check["found"] == [3, 6, 12, 16, 24, 48]
     assert payload["checks"][0]["ok"] is True
+
+
+@pytest.mark.parametrize("n_max", ["1000001", str(10**12)])
+def test_verify_bounds_has_no_cap(capsys, n_max):
+    # the primorial tail settles every n >= 2310, so any n_max takes the
+    # same work and finds the same six n
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "bounds", "--n-max", n_max, "--format", "json"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and err == ""
+    h_check, phi_check = json.loads(out)["checks"]
+    assert h_check["ok"] and h_check["label"].endswith(f"for n <= {n_max}")
+    assert phi_check["found"] == [3, 6, 12, 16, 24, 48]
+    assert phi_check["label"].endswith(f"for 2 <= n <= {n_max}")
 
 
 def test_verify_runs_twice_identically(capsys):
@@ -773,7 +787,7 @@ PINNED_DIGESTS = {
     "zsigmondy": "eaea8c9beafabb5171680cf6991713c0774d625cff9082012a8ded9700e01c68",
     "partitions": "51de79471a54c98d6394b7af686b0a108875eb63cccbd0c65b874c7546088542",
     "candidates": "265d7182b602c16f2d097d3f13ef041ff27e20125179aaf0613cdc7505eed87d",
-    "verify": "07532dd3db4c654458cea9d1c64e6405edc5caeefd50030d428513ff6069f09b",
+    "verify": "070fa40697cb447c40055688687403433ca0f5b1960c98699f4d6947b2990adc",
 }
 
 # argparse words its errors differently across Python versions, so only

@@ -85,12 +85,22 @@ def test_sigma_and_phi_sieves_match_factoring():
 
 def test_sigma_times_phi_is_below_n_squared():
     """sigma(n) * phi(n) < n^2 for n >= 2 (Hardy and Wright, Thm 329), the
-    inequality sigma(n)/n < n/phi(n) that lets the bounds suite settle
-    the abundancy bound from phi alone; n = 1 gives equality."""
+    inequality sigma(n)/n < n/phi(n) with which ``suites.PRIMORIAL_TAIL``
+    bounds the abundancy of every n past the tail by M_k; n = 1 gives
+    equality."""
     limit = 100_000
     sig, phi = sigma_sieve(limit), phi_sieve(limit)
     assert sig[1] * phi[1] == 1
     assert [n for n in range(2, limit + 1) if sig[n] * phi[n] >= n * n] == []
+
+
+def test_phi_sieve_to_a_million():
+    """Spot checks on one row to 10^6: high powers of small primes, two
+    highly composite n, the largest prime below 10^6 and 10^6 itself."""
+    phi = phi_sieve(10**6)
+    assert len(phi) == 10**6 + 1
+    for n in (2**19, 3**12, 5**8, 7**7, 720720, 997920, 999983, 10**6):
+        assert phi[n] == euler_phi(n), n
 
 
 def test_phi_sieve_memory():

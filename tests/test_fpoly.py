@@ -28,6 +28,8 @@ from lehmer_ff import (
     poly_gcd,
     poly_powmod,
     totient,
+    totient_bruteforce,
+    totient_report,
 )
 from lehmer_ff.fpoly import DEGREE_CAP
 from properties import all_polys
@@ -160,6 +162,17 @@ def test_two_operand_functions_refuse_a_non_polynomial(f2):
         ):
             with pytest.raises(InvalidInput):
                 call()
+
+
+@pytest.mark.parametrize(
+    "func",
+    [factor, factor_bruteforce, is_irreducible, totient, totient_report, totient_bruteforce],
+    ids=lambda func: func.__name__,
+)
+def test_one_operand_functions_refuse_a_non_polynomial(f2, func):
+    for operand in (3, f2.one):
+        with pytest.raises(InvalidInput, match="expected a polynomial"):
+            func(operand)
 
 
 def test_powmod_requires_degree_one_modulus(f2):

@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 every name the package exports is read outside its own module, every
-cache is bounded, and only the CLI's renderer writes to stdout."""
+module constant is read by the package or the benchmark, every cache is
+bounded, and only the CLI's renderer writes to stdout."""
 
 import ast
 from pathlib import Path
@@ -83,11 +84,13 @@ def test_names_read_skips_strings():
     assert names_read(source) == {"a", "b", "f", "v", "x", "y"}
 
 
+def bench_reads() -> set[str]:
+    return set().union(*(names_read(p.read_text()) for p in (ROOT / "bench").glob("*.py")))
+
+
 def test_every_export_is_read_outside_its_module():
     read_in = {p.stem: names_read(p.read_text()) for p in MODULES}
-    bench = set().union(
-        *(names_read(p.read_text()) for p in (ROOT / "bench").glob("*.py"))
-    )
+    bench = bench_reads()
     unread = [
         name
         for name, module in exports().items()
@@ -100,6 +103,54 @@ def test_every_export_is_read_outside_its_module():
 
 def test_listed_exports_exist():
     assert (NAMED_ORACLES | RETURNED) <= set(exports())
+
+
+# -- module constants ----------------------------------------------------------
+
+
+def unread_constants(sources: dict[str, str], bench: set[str]) -> list[str]:
+    """``module.NAME`` for each UPPER_CASE name that a module of ``sources``
+    (module -> source) assigns at its top level and that no module loads,
+    as a name or an attribute, and that ``bench`` does not hold.  An
+    import alone is not a load, and reads in the tests do not count."""
+    assigned, loaded = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [
+                (module, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and name.id.isupper()
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{m}.{name}" for m, name in assigned if name not in loaded | bench]
+
+
+def test_unread_constant_is_found():
+    sources = {
+        "a": "LIMIT = 3\nUSED = 4\n_HIDDEN = 5\nlower = 6\nX, Y = 1, 2\n"
+             "def f(n):\n    return n < USED\n",
+        "b": "from .a import LIMIT\nfrom . import a\nZ: int = 7\n"
+             "def g():\n    return a._HIDDEN + X\n",
+    }
+    assert unread_constants(sources, bench=set()) == ["a.LIMIT", "a.Y", "b.Z"]
+    assert unread_constants(sources, bench={"Y", "Z"}) == ["a.LIMIT"]
+
+
+def test_every_constant_is_read_by_the_package_or_the_benchmark():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_constants(sources, bench_reads()) == []
 
 
 # -- bounded caches ------------------------------------------------------------

@@ -91,7 +91,6 @@ KEPT = {
     "fpoly.Factorization.expand": POLY_API,
     "fpoly.poly_gcd": BENCH_POLY,
     "fpoly.poly_powmod": BENCH_POLY,
-    "intmath.sigma_sieve": "bench/probe.py times it for intmath.sieve_ms",
     "lehmer_search.Partition.__str__": (
         "names the partition in exponent_map's InvalidInput, which no CLI call can raise"
     ),
