@@ -14,10 +14,8 @@ or size cap exceeded, or a marginal precision comparison).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import signal
 import sys
 
 from .cyclo import DEFAULT_FACTORING_BUDGET, cyclotomic, cyclotomic_eval, zsigmondy
@@ -153,6 +151,8 @@ def _emit(
     else:
         table = [columns] + [[_cell(row.get(c)) for c in columns] for row in rows]
         if fmt == "csv":
+            import csv
+
             csv.writer(sys.stdout, lineterminator="\n").writerows(table)
         else:
             widths = [max(len(str(cell)) for cell in col) for col in zip(*table)]
@@ -325,6 +325,8 @@ def run(argv: list[str]) -> int:
 def main() -> int:
     # a closed stdout (``lehmer-ff ... | head``) ends the process by SIGPIPE,
     # as it does other filters, rather than by a BrokenPipeError traceback
+    import signal
+
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(sys.argv[1:])

@@ -22,8 +22,8 @@ division, within a budget on a^n - b^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     FactoringBudgetExceeded,
@@ -42,17 +42,16 @@ EXCEPTION_N6 = "N6"
 EXCEPTION_POWER_OF_TWO_SUM = "POWER_OF_TWO_SUM"
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple("IntPoly", [("coeffs", tuple[int, ...])])):
     """A polynomial with integer coefficients, lowest degree first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = list(self.coeffs)
+    def __new__(cls, coeffs):
+        c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        return super().__new__(cls, tuple(c))
 
     @property
     def degree(self) -> int:
@@ -155,8 +154,7 @@ def primitive_part(a: int, b: int, n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ZsigmondyResult:
+class ZsigmondyResult(NamedTuple):
     a: int
     b: int
     n: int

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, groupby, islice, repeat
 from operator import xor
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     CannotFactorZero,
@@ -288,8 +287,7 @@ def _same_field(f, g) -> FieldSpec:
     return f.spec
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """unit * prod(factor^multiplicity) in canonical order.
 
     Factors are monic irreducibles, pairwise distinct, sorted by

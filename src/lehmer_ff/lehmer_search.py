@@ -30,9 +30,9 @@ zero raises PrecisionAlert rather than deciding silently.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
+from typing import NamedTuple
 
 from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
 from .intmath import divisors, euler_phi, sigma
@@ -49,20 +49,20 @@ GUARD_BITS = 8
 CANDIDATES_N_MAX_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
     """Nondecreasing positive parts e_1 <= ... <= e_s, s >= 2, summing to n."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise InvalidInput("a partition here needs at least two parts")
-        if any(e < 1 for e in self.parts):
+        if any(e < 1 for e in parts):
             raise InvalidInput("parts must be positive")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a > b for a, b in zip(parts, parts[1:])):
             raise InvalidInput("parts must be nondecreasing")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:

@@ -8,9 +8,9 @@ is visible as data rather than a bare boolean.  Suites are deterministic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
+from typing import NamedTuple
 
 from .cyclo import cyclotomic_eval, primitive_part
 from .errors import InvalidInput
@@ -31,8 +31,7 @@ DEFAULT_SWEEP_DEGREE = {2: 12, 3: 8}
 FALLBACK_SWEEP_DEGREE = 7
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     label: str
     ok: bool
     expected: object = None
@@ -54,10 +53,10 @@ def _plain(value):
     return value
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[Check] = []
 
     @property
     def ok(self) -> bool:

@@ -30,10 +30,10 @@ bound on the number of distinct factors).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, product
 from math import prod
+from typing import NamedTuple
 
 from .errors import InvalidInput, OracleOverflow, VerificationError
 from .ffield import FieldSpec
@@ -119,8 +119,7 @@ def totient_bruteforce(f: Poly) -> int:
     return sum(row.count(0) for row in rows) * (q - 1)
 
 
-@dataclass(frozen=True)
-class TotientReport:
+class TotientReport(NamedTuple):
     """Everything the divisibility test knows about one polynomial."""
 
     f: Poly
@@ -282,7 +281,7 @@ def _finish(
         raise VerificationError("; ".join(bad))
     if expand_units:
         expanded = [
-            replace(r, f=r.f * u, factorization=replace(r.factorization, unit=u))
+            r._replace(f=r.f * u, factorization=r.factorization._replace(unit=u))
             for r in reports
             for u in spec.units()
         ]

@@ -1,9 +1,14 @@
 """Every name a package module imports is read somewhere in that module,
 every name the package exports is read outside its own module, every
 module constant is read by the package or the benchmark, every cache is
-bounded, and only the CLI's renderer writes to stdout."""
+bounded, only the CLI's renderer writes to stdout, and importing the CLI
+loads no standard module that start-up does not need."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,3 +293,61 @@ def test_only_the_cli_prints_or_serializes(path):
 
 def test_only_the_renderer_writes_to_stdout():
     assert stdout_writes_outside(CLI.read_text(), RENDERER) == []
+
+
+# -- start-up cost -------------------------------------------------------------
+
+# dataclasses brings inspect, ast, dis and tokenize; csv and signal serve
+# only CSV output and the console entry point, which import them there
+STARTUP_EXCLUDED = {"dataclasses", "inspect", "csv", "signal"}
+
+_IMPORT_CLI_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import lehmer_ff.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_excluded_module():
+    src = ROOT / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stdout))
+    assert "lehmer_ff.cli" in new
+    assert new & STARTUP_EXCLUDED == set()
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module a source imports, at any depth;
+    relative imports within the package do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_finds_nested_and_dotted_imports():
+    source = (
+        "import os.path, csv\n"
+        "from dataclasses import dataclass\n"
+        "from . import cyclo\n"
+        "def f():\n"
+        "    import signal\n"
+    )
+    assert imported_modules(source) == {"os", "csv", "dataclasses", "signal"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())

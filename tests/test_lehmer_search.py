@@ -51,12 +51,14 @@ REFINED_TRUE = {8, 9, 10, 12, 14, 18, 20, 24, 30}
 
 def test_partition_validation():
     Partition((1, 1, 2))
-    with pytest.raises(InvalidInput):
-        Partition((3,))  # s >= 2
+    for parts in [(3,), (1,)]:  # s >= 2
+        with pytest.raises(InvalidInput):
+            Partition(parts)
     with pytest.raises(InvalidInput):
         Partition((2, 1))  # not nondecreasing
-    with pytest.raises(InvalidInput):
-        Partition((0, 2))
+    for parts in [(0, 2), (0, 1)]:
+        with pytest.raises(InvalidInput):
+            Partition(parts)
 
 
 def test_partition_accessors():

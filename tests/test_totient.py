@@ -282,6 +282,15 @@ def test_lehmer_set_f3_monic_and_expanded(f3):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("q, max_degree", [(2, 12), (3, 8)])
+def test_unit_multiples_report_as_if_factored_afresh(q, max_degree):
+    # the expanded reports are the monic ones with f and unit replaced
+    expanded = lehmer_set(field_make(q), max_degree, expand_units=True)
+    assert len(expanded) == 6
+    for r in expanded:
+        assert r == totient_report(r.f)
+
+
 def test_lehmer_set_f2(f2, lehmer_sets):
     hits = lehmer_sets[2]
     assert {r.f for r in hits} == expected_lehmer_monic(f2)
