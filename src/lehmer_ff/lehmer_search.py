@@ -14,17 +14,18 @@ cyclotomic polynomials Phi_d with integer exponents
 
 which the ``partitions`` command prints for each row.
 
-``candidate_degrees`` evaluates the logarithmic bound comparison that
-narrows the a = 2 search: the coarse form uses the majorant
+``candidate_degrees`` evaluates the logarithmic bound comparison whose
+degree sets ``candidates`` reports: the coarse form uses the majorant
 1.28 * n^(1/4) of h(n) = sigma(n)/n against
 c(n) * log2 * n^(3/4) - log(2n); the refined form uses h(n) itself
-against phi(n) * log2 - log(2n).
-Each margin (left minus right side) is enclosed between two integers at
-scale 2^B, B a few bits above ``CANDIDATE_DPS`` decimal digits: logs
-from floored atanh series with a bounded remainder, fourth roots from
-nested integer square roots, rationals rounded outward.  No floating
-point decides a comparison; an enclosure that reaches within 1e-6 of
-zero raises PrecisionAlert rather than deciding silently.
+against phi(n) * log2 - log(2n).  Only n < ``CANDIDATE_TAIL`` = 59 are
+compared, as no larger n enters either set.  Each margin (left minus
+right side) is enclosed between two integers at scale 2^B, B a few bits
+above ``CANDIDATE_DPS`` decimal digits: logs from floored atanh series
+with a bounded remainder, fourth roots from nested integer square roots,
+rationals rounded outward.  No floating point decides a comparison; an
+enclosure that reaches within 1e-6 of zero raises PrecisionAlert rather
+than deciding silently.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import NamedTuple
 
-from .errors import InvalidInput, PrecisionAlert, SizeCapExceeded
+from .errors import InvalidInput, PrecisionAlert
 from .intmath import divisors, euler_phi, sigma
 
 PRECISION_GAP = Fraction(1, 10**6)
@@ -43,10 +44,22 @@ PRECISION_GAP = Fraction(1, 10**6)
 # same at 30 and at 50 digits
 CANDIDATE_DPS = 35
 # bits of 2^B beyond CANDIDATE_DPS digits, so every log and root enclosure
-# is narrower than 10^-(CANDIDATE_DPS - 3) up to n = CANDIDATES_N_MAX_CAP
+# is narrower than 10^-(CANDIDATE_DPS - 3) for every n below CANDIDATE_TAIL
 GUARD_BITS = 8
-# candidate_degrees(10_000) takes about 0.7 s, and the time grows linearly
-CANDIDATES_N_MAX_CAP = 10_000
+# No n >= 59 enters either candidate set or comes within PRECISION_GAP of
+# 0, so candidate_degrees computes margins only below it.  As
+# log(4/3) < 1/2 and c(n) >= 59/100, the coarse margin is at most
+#     U(n) = log 8 - 1 - 1/n + (32/25) n^(1/4) - (59/100) log2 n^(3/4) + log n.
+# With m = n^(1/4), dU/dm = 32/25 + 4/m + 4/m^5 - (177/100) log2 m^2: its
+# positive terms fall and its negative term grows with m, and it is about
+# -1.50 at m = 2, so U decreases from n = 16 on.  U(58) ~ +0.060 and
+# U(59) ~ -0.018 (50 digits), so the coarse margin is below -0.018 at every
+# n >= 59.  The refined margin minus the coarse one is
+# (sigma(n)/n - 1.28 n^(1/4)) - log2 (phi(n) - c(n) n^(3/4)), negative for
+# every n outside {3, 6, 12, 16, 24, 48} by the two bounds that
+# suites.PRIMORIAL_TAIL proves for every n (Hardy and Wright, Thm 329).
+# 58 would not do: U(58) > 0.
+CANDIDATE_TAIL = 59
 
 
 class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
@@ -250,20 +263,16 @@ def candidate_degrees(n_max: int) -> tuple[set[int], set[int]]:
     enclosed in exact integers at scale 2^B, B a few bits above
     ``CANDIDATE_DPS`` decimal digits.  A comparison is decided only when the
     whole enclosure lies outside +-1e-6; otherwise PrecisionAlert is
-    raised.  An n_max above ``CANDIDATES_N_MAX_CAP`` raises
-    SizeCapExceeded before any work.
+    raised.  No n >= ``CANDIDATE_TAIL`` comes near either set (the proof is
+    at that constant), so only smaller n are evaluated.
     """
-    if n_max > CANDIDATES_N_MAX_CAP:
-        raise SizeCapExceeded(
-            f"candidates n_max {n_max} exceeds the cap {CANDIDATES_N_MAX_CAP}"
-        )
     if n_max < 7:
         raise InvalidInput("need n_max >= 7")
     bits = (10**CANDIDATE_DPS).bit_length() + GUARD_BITS
     # an integer clears +-gap exactly when it clears +-ceil(gap)
     gap = ceil(PRECISION_GAP * (1 << bits))
     found: dict[str, set[int]] = {"coarse": set(), "refined": set()}
-    for n, *margins in _margins(n_max, bits):
+    for n, *margins in _margins(min(n_max, CANDIDATE_TAIL - 1), bits):
         for (name, degrees), (lo, hi) in zip(found.items(), margins):
             if lo >= gap:
                 degrees.add(n)

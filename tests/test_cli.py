@@ -339,8 +339,6 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         ("cyclotomic", "--n", str(10**18)),
         ("cyclotomic", "--n", "65536", "--eval", "1000000"),
         ("cyclotomic", "--n", "60000", "--eval", str(10**12)),
-        ("candidates", "--n-max", "10001"),
-        ("candidates", "--n-max", str(10**12)),
         ("partitions", "--a", "2", "--n-max", "31", "--all"),
         ("partitions", "--a", "2", "--n-max", str(10**12), "--all"),
     ],
@@ -410,18 +408,16 @@ def test_largest_requests_inside_the_caps_run(capsys):
     assert int(value[-18:]) == (pow(3, 65521, 2 * 10**18) - 1) // 2
 
 
-def test_candidates_at_the_cap_runs(capsys):
-    from lehmer_ff.lehmer_search import CANDIDATES_N_MAX_CAP
-
-    code, out, _ = run_cli(
-        capsys, "candidates", "--n-max", str(CANDIDATES_N_MAX_CAP), "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["n_max"] == 10_000
-    # no degree above 54 enters either set
-    assert payload["refined"] == [8, 9, 10, 12, 14, 18, 20, 24, 30]
-    assert max(payload["coarse"]) == 54
+@pytest.mark.parametrize("n_max", [10001, 10**12])
+def test_candidates_has_no_cap(capsys, n_max):
+    # no n from lehmer_search.CANDIDATE_TAIL = 59 on enters either set, so
+    # every n_max past it prints the sets of n_max = 200
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "candidates", "--n-max", str(n_max))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "candidates", "--n-max", "200")[1]
+    assert out.endswith(", 50, 54\nrefined: 8, 9, 10, 12, 14, 18, 20, 24, 30\n")
 
 
 def test_partitions_all_at_the_cap_runs(capsys):
@@ -565,6 +561,14 @@ def test_run_suite_defaults_only_missing_options():
         run_suite("prop36", n_max=0)
     with pytest.raises(InvalidInput):
         run_suite("main-theorem", q=2, max_degree=0)
+
+
+@pytest.mark.parametrize("name", ["nope", "Bounds"])
+def test_run_suite_refuses_an_unknown_name(name):
+    from lehmer_ff.suites import run_suite
+
+    with pytest.raises(InvalidInput, match="^unknown suite"):
+        run_suite(name)
 
 
 def test_run_suite_checks_every_option():
@@ -786,7 +790,7 @@ PINNED_DIGESTS = {
     "cyclotomic": "7be0aef6518e7ad496f854fa54476a96a4f7620c9afc47f4300a6bd0f68e1c9b",
     "zsigmondy": "eaea8c9beafabb5171680cf6991713c0774d625cff9082012a8ded9700e01c68",
     "partitions": "51de79471a54c98d6394b7af686b0a108875eb63cccbd0c65b874c7546088542",
-    "candidates": "265d7182b602c16f2d097d3f13ef041ff27e20125179aaf0613cdc7505eed87d",
+    "candidates": "a5ab72acae9232f214aa6c24b370a80678a9ba6a168d1d90b3b9d50374714f42",
     "verify": "070fa40697cb447c40055688687403433ca0f5b1960c98699f4d6947b2990adc",
 }
 

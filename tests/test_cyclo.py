@@ -21,6 +21,7 @@ from lehmer_ff import cyclo as cyclo_module
 from lehmer_ff import suites as suites_module
 from lehmer_ff.cyclo import INDEX_CAP, _exceeds_budget, _value
 from lehmer_ff.intmath import (
+    decimal_str,
     divisors,
     euler_phi,
     factorize,
@@ -73,6 +74,19 @@ def test_factorize_matches_a_smallest_prime_factor_sieve():
             expected[spf[m]] = expected.get(spf[m], 0) + 1
             m //= spf[m]
         assert factorize(n) == expected, n
+
+
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorize_refuses_below_one(n):
+    with pytest.raises(InvalidInput):
+        factorize(n)
+
+
+def test_decimal_str_of_a_negative_is_signed():
+    # 1 to 1,499 digits: below, at and past the 500-digit chunk
+    for n in (1, 7 * 10**498, 10**500 - 1, 10**500, 3**3141):
+        assert decimal_str(n) == str(n)
+        assert decimal_str(-n) == "-" + decimal_str(n)
 
 
 def test_sigma_and_phi_sieves_match_factoring():

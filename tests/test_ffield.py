@@ -154,9 +154,21 @@ def test_field_inv_examples(f4, f5):
     assert f4.one.inverse() == f4.one
 
 
-def test_inverse_of_zero_raises(f5):
-    with pytest.raises(DivisionByZero):
-        f5.zero.inverse()
+def test_inverse_of_zero_raises(f5, f9):
+    for spec in (f5, f9):
+        with pytest.raises(DivisionByZero):
+            spec.zero.inverse()
+
+
+def test_division_and_negative_powers_use_the_inverse(f5, f9):
+    for spec in (f5, f9):
+        units = list(spec.units())
+        for a in spec.elements():
+            for b in units:
+                assert a / b == a * b.inverse()
+        for a in units:
+            for k in (1, 2, 3, spec.q):
+                assert a**-k == a.inverse() ** k
 
 
 @pytest.mark.parametrize("p,k", AXIOM_FIELDS)
@@ -255,6 +267,19 @@ def test_spec_pickles_by_parameters(f4):
 
     clone = pickle.loads(pickle.dumps(f4))
     assert clone is field_make(2, 2)
+
+
+def test_spec_hash_survives_a_pickle_round_trip(f9):
+    import pickle
+
+    from lehmer_ff.ffield import _field_make_cached
+
+    data = pickle.dumps(f9)
+    _field_make_cached.cache_clear()
+    clone = pickle.loads(data)
+    assert clone is not f9 and clone == f9
+    assert hash(clone) == hash(f9)
+    assert {f9: "F_9"}[clone] == "F_9"
 
 
 # every pair of each small field; 2,000 seeded pairs (plus the pairs with 0

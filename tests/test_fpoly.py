@@ -8,6 +8,7 @@ import pytest
 
 from lehmer_ff import (
     CannotFactorZero,
+    DivisionByZero,
     FieldMismatch,
     InvalidInput,
     InvalidModulus,
@@ -606,3 +607,36 @@ def test_poly_parse_shares_the_element_forms(f3, f9):
 def test_poly_mixed_field_arithmetic_rejected(f2, f3):
     with pytest.raises(FieldMismatch):
         P(f2, "x") + P(f3, "x")
+
+
+def test_subtraction_undoes_addition(f2, f3, f9):
+    rng = random.Random(RNG_SEED)
+    for spec in (f2, f3, f9):
+        for _ in range(50):
+            f, g = random_poly(rng, spec, 6), random_poly(rng, spec, 6)
+            assert (f - g) + g == f
+            assert f - f == Poly.zero(spec)
+
+
+def test_repr_names_the_text_and_the_field(f2, f9):
+    assert repr(P(f2, "x^3+x+1")) == "<x^3+x+1 over F_2>"
+    f = P(f9, "(t+1)*x^2+t*x+1")
+    assert repr(f) == f"<{f} over F_9>"
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda f2: P(f2, "x+1") % Poly.zero(f2), DivisionByZero),
+        (lambda f2: poly_powmod(P(f2, "x"), -1, P(f2, "x^2+x+1")), InvalidInput),
+        (lambda f2: irreducibles(f2, 0), InvalidInput),
+        (lambda f2: irreducible_count(1, 1), InvalidInput),
+        (lambda f2: list(enumerate_polys(f2, -1)), InvalidInput),
+        (lambda f2: parse_poly(f2, ")x"), ParseError),
+    ],
+    ids=["mod-zero", "powmod-negative", "irreducibles-0", "count-q1",
+         "enumerate-negative", "close-before-open"],
+)
+def test_bad_arguments_raise_package_errors(f2, call, error):
+    with pytest.raises(error):
+        call(f2)

@@ -22,14 +22,16 @@ from lehmer_ff import (
 )
 from lehmer_ff.intmath import euler_phi
 from lehmer_ff.lehmer_search import (
-    CANDIDATES_N_MAX_CAP,
+    CANDIDATE_DPS,
+    CANDIDATE_TAIL,
     GUARD_BITS,
+    PRECISION_GAP,
     _atanh_enclosure,
     _log_enclosure,
     _margins,
     _quartic_root_floor,
 )
-from lehmer_ff.suites import PROP36_SOLUTIONS
+from lehmer_ff.suites import PRIMORIAL_TAIL, PROP36_SOLUTIONS, suite_bounds
 from lehmer_ff.totient import lehmer_shapes
 from properties import (
     abundancy,
@@ -306,6 +308,21 @@ def test_candidate_degrees_validation():
         candidate_degrees(5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mersenne_divisibility(1, Partition((1, 1))),
+        lambda: classify_a_ge_3(2, 5),
+        lambda: classify_a_ge_3(3, 1),
+        lambda: verify_prop36(1),
+    ],
+    ids=["mersenne-base-1", "classify-a-max-2", "classify-n-max-1", "prop36-n-max-1"],
+)
+def test_bad_arguments_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
 def test_marginal_comparison_raises_precision_alert(monkeypatch):
     import lehmer_ff.lehmer_search as mod
     from lehmer_ff import PrecisionAlert
@@ -368,7 +385,7 @@ def test_log_and_root_enclosures_hold_the_true_values(dps):
     bad = []
     with mpmath.workdps(dps + 30):
         checks = [(log2, mpmath.log(2)), (log43, mpmath.log(mpmath.mpf(4) / 3))]
-        for n in range(1, CANDIDATES_N_MAX_CAP + 1):
+        for n in range(1, 10_000 + 1):
             root, root3 = _quartic_root_floor(n, bits), _quartic_root_floor(n**3, bits)
             checks += [
                 (_log_enclosure(2 * n, bits, log2), mpmath.log(2 * n)),
@@ -397,6 +414,53 @@ def test_margin_enclosures_hold_the_true_margins_rounded_outward(dps):
                         and (hi - lo) * 10 ** (dps - 3) < scale):
                     bad.append(n)
     assert bad == []
+
+
+def _majorant_enclosure(n, bits, log2):
+    """Rationals lo <= 2^bits * U(n) <= hi for the majorant
+    U(n) = log 8 - 1 - 1/n + (32/25) n^(1/4) - (59/100) log2 n^(3/4) + log n
+    of the coarse margin, from the integer log and root enclosures."""
+    scale = 1 << bits
+    logn = _log_enclosure(n, bits, log2)
+    root, root3 = _quartic_root_floor(n, bits), _quartic_root_floor(n**3, bits)
+    rational = -scale - Fraction(scale, n)
+    c = Fraction(59, 100)
+    return (
+        3 * log2[0] + rational + Fraction(32, 25) * root
+        - c * log2[1] * (root3 + 1) / scale + logn[0],
+        3 * log2[1] + rational + Fraction(32, 25) * (root + 1)
+        - c * log2[0] * root3 / scale + logn[1],
+    )
+
+
+def test_candidate_tail_certificate():
+    """The proof behind ``CANDIDATE_TAIL``, decided in exact integers and
+    rationals.  U bounds the coarse margin from above, as log(4/3) < 1/2
+    and c(n) >= 59/100.  With m = n^(1/4), dU/dm = 32/25 + 4/m + 4/m^5 -
+    (177/100) log2 m^2 falls with m and is negative at m = 2, so U
+    decreases from n = 16 on.  U(CANDIDATE_TAIL) < -gap <= 0 <
+    U(CANDIDATE_TAIL - 1), and past the six n where the totient bound
+    fails the refined margin lies below the coarse one."""
+    bits = _bits(CANDIDATE_DPS)
+    scale = 1 << bits
+    log2 = [2 * v for v in _atanh_enclosure(1, 3, bits)]
+    log43 = [2 * v for v in _atanh_enclosure(1, 7, bits)]
+    # the tail starts at the first n with U(n) < -gap; one less would not do
+    assert _majorant_enclosure(CANDIDATE_TAIL, bits, log2)[1] < -PRECISION_GAP * scale
+    assert _majorant_enclosure(CANDIDATE_TAIL - 1, bits, log2)[0] > 0
+    # U majorises the coarse margin: c(n) >= 59/100 at every 2-adic
+    # valuation, and log(4/3) < 1/2
+    assert min(c_factor(3 << v) for v in range(64)) == Fraction(59, 100)
+    assert 2 * log43[1] < scale
+    # dU/dm < 0 at m = 2, that is n = 16, below the tail
+    assert 2**4 < CANDIDATE_TAIL
+    assert (Fraction(32, 25) + 2 + Fraction(1, 8)) * scale < Fraction(177, 25) * log2[0]
+    # the counterexamples of both bounds all lie below the tail
+    report = suite_bounds(PRIMORIAL_TAIL - 1)
+    assert all(n < CANDIDATE_TAIL for check in report.checks for n in check.found)
+    # and U lies above every coarse enclosure, tail or not, to n = 400
+    for n, (_, coarse_hi), _ in _margins(400, bits):
+        assert coarse_hi < _majorant_enclosure(n, bits, log2)[0], n
 
 
 @pytest.mark.parametrize("bits", [_bits(35), 128])
