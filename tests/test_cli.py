@@ -339,6 +339,8 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         ("cyclotomic", "--n", str(10**18)),
         ("cyclotomic", "--n", "65536", "--eval", "1000000"),
         ("cyclotomic", "--n", "60000", "--eval", str(10**12)),
+        ("cyclotomic", "--n", "65537", "--format", "json"),
+        ("totient", f"x^{DEGREE_CAP + 1}+1", "--q", "2", "--format", "json"),
         ("partitions", "--a", "2", "--n-max", "31", "--all"),
         ("partitions", "--a", "2", "--n-max", str(10**12), "--all"),
     ],
