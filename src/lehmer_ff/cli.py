@@ -8,7 +8,7 @@ diagnostics go to stderr.
 
 Exit codes: 0 success/verified, 1 verification mismatch or failed internal
 cross-check, 2 usage error, 3 resource limit (oracle cap, factoring budget
-or size cap exceeded, or a marginal precision comparison).
+or size cap exceeded).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .lehmer_search import (
     candidate_degrees,
     exponent_map,
     lehmer_partitions,
-    mersenne_divisibility,
     partitions_of,
 )
 from .suites import SUITE_NAMES, run_suite
@@ -134,10 +133,6 @@ def _field_from_args(args) -> FieldSpec:
     raise LehmerFFError("specify the field with --q or --p [--k]")
 
 
-def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False)
-
-
 def _emit(
     fmt: str, payload: dict, rows: list[dict], columns: list[str], text=None
 ) -> None:
@@ -145,7 +140,8 @@ def _emit(
     ``rows`` as CSV under a header of ``columns``, or as text the lines
     of ``text`` if given, else ``rows`` as an aligned table."""
     if fmt == "json":
-        print(dump_json({"schema": 1, **payload}))
+        json.dump({"schema": 1, **payload}, sys.stdout, indent=2, ensure_ascii=False)
+        sys.stdout.write("\n")
     elif fmt == "text" and text is not None:
         print("\n".join(text))
     else:
@@ -236,10 +232,8 @@ def _cmd_partitions(args) -> int:
     records = []
     for n in range(2, args.n_max + 1):
         if args.all:
-            rows = [
-                (part, mersenne_divisibility(args.a, part))
-                for part in map(Partition, partitions_of(n))
-            ]
+            passing = set(lehmer_partitions(args.a, n))
+            rows = [(part, part in passing) for part in map(Partition, partitions_of(n))]
         else:
             rows = [(part, True) for part in lehmer_partitions(args.a, n)]
         for part, divides in rows:

@@ -62,16 +62,9 @@ class SizeCapExceeded(LehmerFFError):
     """A request exceeds a fixed size cap; raised before any work starts."""
 
 
-class PrecisionAlert(LehmerFFError):
-    """A numeric comparison was decided by a margin below the safety gap."""
-
-
 class VerificationError(LehmerFFError):
     """An internal invariant that should hold unconditionally was violated."""
 
 
-#: Errors that signal a resource/limit problem rather than bad input (exit 3);
-#: a comparison too close to call counts as one.
-RESOURCE_ERRORS = (
-    OracleOverflow, FactoringBudgetExceeded, SizeCapExceeded, PrecisionAlert
-)
+#: Errors that signal a resource/limit problem rather than bad input (exit 3).
+RESOURCE_ERRORS = (OracleOverflow, FactoringBudgetExceeded, SizeCapExceeded)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, InvalidDegree, InvalidInput, InvalidPrime
-from .intmath import factorize, is_prime
+from .intmath import decimal_str, factorize, is_prime
 
 MAX_Q = 1 << 16
 # fields kept interned; an extension field near 2^16 holds about 9 MB of
@@ -310,13 +310,25 @@ class FieldElement:
 
 
 def field_make(p: int, k: int = 1) -> FieldSpec:
-    """Build (and intern) F_{p^k} with the canonical modulus."""
-    if not isinstance(p, int) or not is_prime(p):
+    """Build (and intern) F_{p^k} with the canonical modulus.
+
+    The size checks come before any work that grows with p or k: p is held
+    to the cap before its primality test, and k to 16 (2^17 > MAX_Q)
+    before p^k is computed."""
+    if not isinstance(p, int):
         raise InvalidPrime(f"{p} is not prime")
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int):
         raise InvalidDegree(f"extension degree must be >= 1, got {k}")
-    if p**k > MAX_Q:
-        raise InvalidDegree(f"q = {p}^{k} exceeds the supported cap {MAX_Q}")
+    if p > MAX_Q:
+        raise InvalidDegree(
+            f"q = {decimal_str(p)}^{decimal_str(k)} exceeds the supported cap {MAX_Q}"
+        )
+    if not is_prime(p):
+        raise InvalidPrime(f"{decimal_str(p)} is not prime")
+    if k < 1:
+        raise InvalidDegree(f"extension degree must be >= 1, got {decimal_str(k)}")
+    if k >= MAX_Q.bit_length() or p**k > MAX_Q:
+        raise InvalidDegree(f"q = {p}^{decimal_str(k)} exceeds the supported cap {MAX_Q}")
     return _field_make_cached(p, k)
 
 
@@ -327,11 +339,10 @@ def _field_make_cached(p: int, k: int) -> FieldSpec:
 
 def field_from_order(q: int) -> FieldSpec:
     """Build F_q for a prime power q (convenience for CLI input)."""
-    if not isinstance(q, int) or q < 2:
+    if not isinstance(q, int):
         raise InvalidPrime(f"{q} is not a prime power")
     if q > MAX_Q:
-        raise InvalidDegree(f"q = {q} exceeds the supported cap {MAX_Q}")
-    factors = factorize(q)
-    if len(factors) != 1:
-        raise InvalidPrime(f"{q} is not a prime power")
+        raise InvalidDegree(f"q = {decimal_str(q)} exceeds the supported cap {MAX_Q}")
+    if q < 2 or len(factors := factorize(q)) != 1:
+        raise InvalidPrime(f"{decimal_str(q)} is not a prime power")
     return field_make(*factors.popitem())

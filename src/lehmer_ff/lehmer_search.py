@@ -23,32 +23,31 @@ compared, as no larger n enters either set.  Each margin (left minus
 right side) is enclosed between two integers at scale 2^B, B a few bits
 above ``CANDIDATE_DPS`` decimal digits: logs from floored atanh series
 with a bounded remainder, fourth roots from nested integer square roots,
-rationals rounded outward.  No floating point decides a comparison; an
-enclosure that reaches within 1e-6 of zero raises PrecisionAlert rather
-than deciding silently.
+rationals rounded outward.  No floating point decides a comparison: n
+enters a set when its enclosure lies above 0 and stays out when it lies
+below, and an enclosure that contains 0 raises VerificationError.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 from typing import NamedTuple
 
-from .errors import InvalidInput, PrecisionAlert
+from .errors import InvalidInput, VerificationError
 from .intmath import divisors, euler_phi, sigma
 
-PRECISION_GAP = Fraction(1, 10**6)
 # decimal digits that fix the scale 2^B of every enclosure; each is then
-# about 10^-32 wide, far inside PRECISION_GAP, and the sets come out the
-# same at 30 and at 50 digits
+# about 10^-32 wide, far inside the smallest |margin| (0.0167, coarse at
+# n = 21), and the sets come out the same at 30 and at 50 digits
 CANDIDATE_DPS = 35
 # bits of 2^B beyond CANDIDATE_DPS digits, so every log and root enclosure
 # is narrower than 10^-(CANDIDATE_DPS - 3) for every n below CANDIDATE_TAIL
 GUARD_BITS = 8
-# No n >= 59 enters either candidate set or comes within PRECISION_GAP of
-# 0, so candidate_degrees computes margins only below it.  As
-# log(4/3) < 1/2 and c(n) >= 59/100, the coarse margin is at most
+# No n >= 59 enters either candidate set, so candidate_degrees computes
+# margins only below it.  As log(4/3) < 1/2 and c(n) >= 59/100, the
+# coarse margin is at most
 #     U(n) = log 8 - 1 - 1/n + (32/25) n^(1/4) - (59/100) log2 n^(3/4) + log n.
 # With m = n^(1/4), dU/dm = 32/25 + 4/m + 4/m^5 - (177/100) log2 m^2: its
 # positive terms fall and its negative term grows with m, and it is about
@@ -261,23 +260,23 @@ def candidate_degrees(n_max: int) -> tuple[set[int], set[int]]:
 
     with d(n) = 1 for even n, else 0.  Each margin (left minus right) is
     enclosed in exact integers at scale 2^B, B a few bits above
-    ``CANDIDATE_DPS`` decimal digits.  A comparison is decided only when the
-    whole enclosure lies outside +-1e-6; otherwise PrecisionAlert is
-    raised.  No n >= ``CANDIDATE_TAIL`` comes near either set (the proof is
-    at that constant), so only smaller n are evaluated.
+    ``CANDIDATE_DPS`` decimal digits, and decided by its sign: n enters a
+    set when the whole enclosure lies above 0 and stays out when it lies
+    below.  Every margin it evaluates is at least 0.0167 from 0, so an
+    enclosure that contains 0 can only come from broken enclosure code and
+    raises VerificationError.  No n >= ``CANDIDATE_TAIL`` enters either set
+    (the proof is at that constant), so only smaller n are evaluated.
     """
     if n_max < 7:
         raise InvalidInput("need n_max >= 7")
     bits = (10**CANDIDATE_DPS).bit_length() + GUARD_BITS
-    # an integer clears +-gap exactly when it clears +-ceil(gap)
-    gap = ceil(PRECISION_GAP * (1 << bits))
     found: dict[str, set[int]] = {"coarse": set(), "refined": set()}
     for n, *margins in _margins(min(n_max, CANDIDATE_TAIL - 1), bits):
         for (name, degrees), (lo, hi) in zip(found.items(), margins):
-            if lo >= gap:
+            if lo > 0:
                 degrees.add(n)
-            elif hi > -gap:
-                raise PrecisionAlert(f"{name} comparison marginal at n = {n}")
+            elif hi >= 0:
+                raise VerificationError(f"{name} margin enclosure contains 0 at n = {n}")
     return found["coarse"], found["refined"]
 
 

@@ -35,7 +35,7 @@ from lehmer_ff import (
 )
 from lehmer_ff.cli import run as cli_run
 from lehmer_ff.intmath import decimal_str, euler_phi, phi_sieve, sigma_sieve
-from lehmer_ff.lehmer_search import PRECISION_GAP, c_factor
+from lehmer_ff.lehmer_search import c_factor
 from lehmer_ff.suites import (
     PRIMORIAL_TAIL,
     expected_lehmer_monic,
@@ -154,9 +154,9 @@ def coarse_margin(n: int, dps: int) -> mpmath.mpf:
 
 
 def test_criterion_06_candidate_degrees(capsys):
-    coarse, refined = candidate_degrees(200)  # PrecisionAlert would raise
+    coarse, refined = candidate_degrees(200)  # an enclosure holding 0 would raise
     extra = set(COARSE_EXTRA_MARGINS)
-    gap = mpmath.mpf(PRECISION_GAP.numerator) / PRECISION_GAP.denominator
+    gap = mpmath.mpf(10) ** -6  # each extra margin clears it 1000 times over
     margins = {n: (coarse_margin(n, 35), coarse_margin(n, 60)) for n in extra}
     bad_margins = {
         n: (mpmath.nstr(m35, 12), mpmath.nstr(m60, 12))

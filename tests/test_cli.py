@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from lehmer_ff import InvalidInput, partitions_of
-from lehmer_ff.cli import build_parser, dump_json, run
+from lehmer_ff import InvalidInput, Partition, mersenne_divisibility, partitions_of
+from lehmer_ff.cli import build_parser, run
 from lehmer_ff.fpoly import DEGREE_CAP
 from lehmer_ff.intmath import euler_phi
 from lehmer_ff.suites import SUITE_NAMES
@@ -40,7 +40,7 @@ def test_totient_json_roundtrip(capsys):
     payload = json.loads(out)
     assert payload["schema"] == 1
     assert payload["phi"] == "3" and payload["divides"] is True
-    assert dump_json(payload) == out.rstrip("\n")
+    assert json.dumps(payload, indent=2, ensure_ascii=False) + "\n" == out
 
 
 def test_totient_extension_field(capsys):
@@ -240,6 +240,31 @@ def test_partitions_are_the_passing_rows_of_all_in_order(capsys, a):
     assert json.loads(out_pass)["rows"] == [r for r in rows_all if r["divides"]]
 
 
+@pytest.mark.parametrize("a", [2, 3, 4, 10**20])
+def test_partitions_all_rows_agree_with_the_divisibility_oracle(capsys, a):
+    # --all reads the one search; the oracle divides each product directly
+    argv = ("partitions", "--a", str(a), "--n-max", "14", "--all", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == sum(len(list(partitions_of(n))) for n in range(2, 15))
+    assert [row["divides"] for row in rows] == [
+        mersenne_divisibility(a, Partition(row["parts"])) for row in rows
+    ]
+
+
+def test_partitions_all_at_the_cap_with_a_large_base_runs(capsys):
+    # a per-partition divisibility test would divide 50-digit powers for
+    # each of the 28,598 rows
+    t0 = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "partitions", "--a", str(10**50), "--n-max", "30", "--all",
+        "--format", "csv",
+    )
+    assert time.perf_counter() - t0 < 3
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -261,6 +286,25 @@ def test_totient_past_the_field_cap_fails_fast(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
     assert "supported cap 65536" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("totient", "x", "--p", "3", "--k", "10000000"),
+        ("lehmer", "--p", "5", "--k", "20000000", "--max-degree", "2"),
+        ("totient", "x", "--p", "3", "--k", "100000000"),
+        ("totient", "x", "--p", str(2**11213 - 1)),  # a 3,376-digit prime
+    ],
+    ids=["p3-k1e7", "lehmer-p5-k2e7", "p3-k1e8", "p-mersenne-11213"],
+)
+def test_field_past_the_cap_by_p_or_k_fails_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: q = ")
+    assert err.endswith(" exceeds the supported cap 65536\n")
 
 
 def test_candidates_output(capsys):
@@ -488,7 +532,7 @@ def test_verify_json_roundtrip(capsys):
         capsys, "verify", "--suite", "oracle", "--format", "json"
     )
     assert code == 0
-    assert dump_json(json.loads(out)) == out.rstrip("\n")
+    assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out
 
 
 # the benchmark's sweep passes --workers 1; the flag is accepted and ignored

@@ -112,6 +112,29 @@ def test_field_from_order_rejects_q_past_the_cap_at_once():
     assert time.perf_counter() - t0 < 1
 
 
+def test_field_constructors_refuse_huge_values_at_once():
+    # the cap is checked before the primality test and before p^k, and
+    # the messages print ints past the 4,300-digit str limit
+    t0 = time.perf_counter()
+    for call in (
+        lambda: field_make(10**5000),
+        lambda: field_from_order(10**5000),
+        lambda: field_make(2**11213 - 1),
+        lambda: field_make(3, 10**8),
+        lambda: field_make(3, 10**5000),
+    ):
+        with pytest.raises(InvalidDegree, match="supported cap 65536"):
+            call()
+    for call, error in (
+        (lambda: field_make(-(10**5000)), InvalidPrime),
+        (lambda: field_from_order(-(10**5000)), InvalidPrime),
+        (lambda: field_make(3, -(10**5000)), InvalidDegree),
+    ):
+        with pytest.raises(error):
+            call()
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_field_from_order_reads_every_q_up_to_the_cap(monkeypatch):
     """(p, k) or InvalidPrime for every q <= 2^16, against a sieve of
     smallest prime factors; field building is stubbed out, so the test

@@ -31,6 +31,7 @@ from lehmer_ff import (
     totient,
     totient_bruteforce,
     totient_report,
+    zsigmondy,
 )
 from lehmer_ff.fpoly import DEGREE_CAP
 from properties import all_polys
@@ -633,9 +634,13 @@ def test_repr_names_the_text_and_the_field(f2, f9):
         (lambda f2: irreducible_count(1, 1), InvalidInput),
         (lambda f2: list(enumerate_polys(f2, -1)), InvalidInput),
         (lambda f2: parse_poly(f2, ")x"), ParseError),
+        (lambda f2: parse_poly(f2, "()"), ParseError),
+        (lambda f2: parse_poly(f2, "()x"), ParseError),
+        (lambda f2: zsigmondy(2.0, 1, 6), InvalidInput),
     ],
     ids=["mod-zero", "powmod-negative", "irreducibles-0", "count-q1",
-         "enumerate-negative", "close-before-open"],
+         "enumerate-negative", "close-before-open", "empty-parens",
+         "empty-parens-before-x", "zsigmondy-float"],
 )
 def test_bad_arguments_raise_package_errors(f2, call, error):
     with pytest.raises(error):

@@ -23,6 +23,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 NAMED_ORACLES = {
     "factor_bruteforce",
     "lehmer_set_bruteforce",
+    "mersenne_divisibility",
     "partitions_of",
     "totient_bruteforce",
 }

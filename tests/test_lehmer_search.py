@@ -25,7 +25,6 @@ from lehmer_ff.lehmer_search import (
     CANDIDATE_DPS,
     CANDIDATE_TAIL,
     GUARD_BITS,
-    PRECISION_GAP,
     _atanh_enclosure,
     _log_enclosure,
     _margins,
@@ -323,13 +322,22 @@ def test_bad_arguments_raise_invalid_input(call):
         call()
 
 
-def test_marginal_comparison_raises_precision_alert(monkeypatch):
+def test_enclosure_containing_zero_raises_verification_error(monkeypatch, capsys):
+    # every true margin is far from 0, so an enclosure that holds 0 can
+    # only come from broken enclosure code, and no sign decides it
     import lehmer_ff.lehmer_search as mod
-    from lehmer_ff import PrecisionAlert
+    from lehmer_ff import VerificationError
+    from lehmer_ff.cli import run
 
-    monkeypatch.setattr(mod, "PRECISION_GAP", Fraction(10))
-    with pytest.raises(PrecisionAlert):
+    def margins(n_max, bits):
+        yield 7, (-1, 1), (-5, -4)
+
+    monkeypatch.setattr(mod, "_margins", margins)
+    with pytest.raises(VerificationError, match="coarse .* at n = 7"):
         candidate_degrees(20)
+    assert run(["candidates", "--n-max", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: coarse margin enclosure contains 0")
 
 
 # -- the integer enclosures behind candidate_degrees --------------------------
@@ -441,12 +449,13 @@ def test_candidate_tail_certificate():
     decreases from n = 16 on.  U(CANDIDATE_TAIL) < -gap <= 0 <
     U(CANDIDATE_TAIL - 1), and past the six n where the totient bound
     fails the refined margin lies below the coarse one."""
+    gap = Fraction(1, 10**6)
     bits = _bits(CANDIDATE_DPS)
     scale = 1 << bits
     log2 = [2 * v for v in _atanh_enclosure(1, 3, bits)]
     log43 = [2 * v for v in _atanh_enclosure(1, 7, bits)]
     # the tail starts at the first n with U(n) < -gap; one less would not do
-    assert _majorant_enclosure(CANDIDATE_TAIL, bits, log2)[1] < -PRECISION_GAP * scale
+    assert _majorant_enclosure(CANDIDATE_TAIL, bits, log2)[1] < -gap * scale
     assert _majorant_enclosure(CANDIDATE_TAIL - 1, bits, log2)[0] > 0
     # U majorises the coarse margin: c(n) >= 59/100 at every 2-adic
     # valuation, and log(4/3) < 1/2

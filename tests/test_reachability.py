@@ -91,6 +91,9 @@ KEPT = {
     "fpoly.Factorization.expand": POLY_API,
     "fpoly.poly_gcd": BENCH_POLY,
     "fpoly.poly_powmod": BENCH_POLY,
+    "lehmer_search.mersenne_divisibility": (
+        "named oracle: the tests and bench/probe.py check the one search against it"
+    ),
     "lehmer_search.Partition.__str__": (
         "names the partition in exponent_map's InvalidInput, which no CLI call can raise"
     ),
