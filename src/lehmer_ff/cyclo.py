@@ -31,7 +31,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationError,
 )
-from .intmath import factorize, mobius_divisors
+from .intmath import decimal_str, factorize, mobius_divisors
 
 DEFAULT_FACTORING_BUDGET = 1 << 64
 # about 17x and 13x the largest index and value any suite or test uses
@@ -86,7 +86,7 @@ def _check_index(n: int) -> None:
     if n < 1:
         raise InvalidInput("cyclotomic index must be >= 1")
     if n > INDEX_CAP:
-        raise SizeCapExceeded(f"cyclotomic index {n} exceeds the cap {INDEX_CAP}")
+        raise SizeCapExceeded(f"cyclotomic index {decimal_str(n)} exceeds the cap {INDEX_CAP}")
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -205,10 +205,13 @@ def zsigmondy(
     """
     _check_zsigmondy_args(a, b, n)
     if factoring_budget < 1:
-        raise InvalidInput(f"factoring budget must be >= 1, got {factoring_budget}")
+        raise InvalidInput(
+            f"factoring budget must be >= 1, got {decimal_str(factoring_budget)}"
+        )
     if _exceeds_budget(a, b, n, factoring_budget):
         raise FactoringBudgetExceeded(
-            f"{a}^{n} - {b}^{n} exceeds the factoring budget {factoring_budget}"
+            f"{decimal_str(a)}^{decimal_str(n)} - {decimal_str(b)}^{decimal_str(n)} "
+            f"exceeds the factoring budget {decimal_str(factoring_budget)}"
         )
     part = primitive_part(a, b, n)
     primitive = tuple(sorted(factorize(part)))

@@ -13,7 +13,9 @@ for callers that ask for one: ``_divmod_cv`` and ``//`` do; gcd, powmod,
 extension fields with these kernels over F_p.
 
 Factoring is distinct-degree factorization through x^(q^i) mod f and
-gcd, with Cantor-Zassenhaus equal-degree splitting (a trace map when
+gcd, which ``_degree_groups`` peels into one group per degree and
+multiplicity with no splitting (all ``totient`` needs), then
+Cantor-Zassenhaus equal-degree splitting of each group (a trace map when
 q = 2^k).  Irreducibility is the distinct-degree loop alone, stopped at
 the first gcd that exposes a factor of degree <= deg/2.  Both cost a
 polynomial in deg f and log q, never touch the sieve, and are
@@ -48,7 +50,7 @@ from .errors import (
     UndefinedGcd,
 )
 from .ffield import FieldElement, FieldSpec, field_make
-from .intmath import mobius_divisors
+from .intmath import decimal_str, mobius_divisors
 
 NEG_INF = float("-inf")
 
@@ -372,10 +374,17 @@ def _least_factor_sieve(p: int, k: int, max_degree: int) -> tuple[list, list]:
     monic f over F_{p^k} of degree n <= max_degree: the 32-bit code of
     f's least monic irreducible factor P by (degree, encoding), 0 where f
     is irreducible, and the offset code - q^m of f / P.  Raises
-    OracleOverflow first past ``ORACLE_CAP`` entries.  Each P of degree
-    d <= max_degree / 2, found unwritten in ascending order, writes itself
-    into its multiples of degree >= 2d that no smaller P wrote."""
+    OracleOverflow first past ``ORACLE_CAP`` entries, and before any power
+    when the lower bound 2^(max_degree * (bit length of q - 1)) on
+    q^max_degree is already past it.  Each P of degree d <= max_degree / 2,
+    found unwritten in ascending order, writes itself into its multiples
+    of degree >= 2d that no smaller P wrote."""
     q = p**k
+    if max_degree * (q.bit_length() - 1) >= ORACLE_CAP.bit_length():
+        raise OracleOverflow(
+            f"sweeping at least {q}^{decimal_str(max_degree)} monic polys over F_{q} "
+            f"to degree {decimal_str(max_degree)} exceeds the oracle cap {ORACLE_CAP}"
+        )
     entries = (q ** (max_degree + 1) - q) // (q - 1)
     if entries > ORACLE_CAP:
         raise OracleOverflow(
@@ -487,45 +496,54 @@ _SPLIT_SEED = 20260810
 def _factor_cv(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
     """Factor a nonzero cv into sorted (monic irreducible cv, multiplicity).
 
-    Distinct-degree factorization: with h = x^(q^i) mod f,
-    gcd(f, h - x) is the product of the distinct degree-i irreducible
-    factors of f once every factor of lower degree has been divided out
-    (x^(q^i) - x is squarefree), so no squarefree pass is needed.  Each
-    such product is split by :func:`_split_equal_degree` and every factor
-    is divided out with its full multiplicity.  h is reduced modulo the
-    shrunken f by the next ``_powmod_cv``, which reduces its base first.
+    Each group of :func:`_degree_groups` is split into its degree-i
+    irreducibles by :func:`_split_equal_degree`, all with the group's
+    multiplicity.
+    """
+    rng = None
+    out = []
+    for i, m, e in _degree_groups(spec, cv):
+        if len(e) - 1 > i and rng is None:
+            rng = random.Random(_SPLIT_SEED)
+        out.extend((p, m) for p in _split_equal_degree(spec, e, i, rng))
+    out.sort(key=lambda fm: (len(fm[0]), _encode_cv(spec, fm[0])))
+    return out
+
+
+def _degree_groups(spec: FieldSpec, cv) -> list[tuple[int, int, tuple]]:
+    """The triples (i, m, e) for a nonzero cv: e is the monic product of
+    the distinct degree-i irreducibles that divide cv exactly m times.
+
+    Distinct-degree factorization: with h = x^(q^i) mod work,
+    g = gcd(work, h - x) is the product of the distinct degree-i
+    irreducible factors of work once every factor of lower degree has been
+    divided out (x^(q^i) - x is squarefree), so no squarefree pass is
+    needed.  Multiplicities are peeled without splitting g: once work is
+    divided by g, gcd(work, g) holds the factors of g that divide work
+    again, so g over it is the group of multiplicity 1; repeat with that
+    gcd as g.  h is reduced modulo the shrunken work by the next
+    ``_powmod_cv``, which reduces its base first.  What is left once
+    deg work < 2i has no two factors, so it is irreducible.
     """
     work = _monic_cv(spec, cv)
     x = (0, 1)
     h = x
-    rng = None
     out = []
     i = 1
     while len(work) - 1 >= 2 * i:
         h = _powmod_cv(spec, h, spec.q, work)
         g = _gcd_cv(spec, work, _sub_cv(spec, h, x))
-        if len(g) > 1:
-            if len(g) - 1 > i and rng is None:
-                rng = random.Random(_SPLIT_SEED)
+        m = 1
+        while len(g) > 1:
             work = _divmod_cv(spec, work, g)[0]
-            for p in _split_equal_degree(spec, g, i, rng):
-                work, m = _divide_out(spec, work, p)
-                out.append((p, m + 1))
+            again = _gcd_cv(spec, work, g)
+            if len(again) < len(g):
+                out.append((i, m, g if len(again) == 1 else _divmod_cv(spec, g, again)[0]))
+            g, m = again, m + 1
         i += 1
     if len(work) > 1:
-        out.append((work, 1))
-    out.sort(key=lambda fm: (len(fm[0]), _encode_cv(spec, fm[0])))
+        out.append((len(work) - 1, 1, work))
     return out
-
-
-def _divide_out(spec: FieldSpec, work, p) -> tuple[tuple, int]:
-    """(work / p^m, m) for the largest m with p^m dividing work."""
-    m = 0
-    while True:
-        quo, rem = _divmod_cv(spec, work, p)
-        if rem:
-            return work, m
-        work, m = quo, m + 1
 
 
 def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:

@@ -6,12 +6,14 @@ totient counts the residues coprime to f:
     phi(q, f) = prod_i q^(n_i * (r_i - 1)) * (q^(n_i) - 1)
 
 which is also q^n * prod_i (1 - q^(-n_i)).  The zero residue is never
-coprime (gcd(f, 0) = monic(f) != 1), so it does not count.
+coprime (gcd(f, 0) = monic(f) != 1), so it does not count.  It needs
+only each factor's degree and multiplicity, so ``totient`` reads them
+off the distinct-degree groups and splits none.
 ``totient_bruteforce`` is the oracle for that formula: it counts the
-monic residues that no monic divisor of f of degree >= 1 divides,
-marking the multiples of each divisor found by trial division, and
-multiplies by the q - 1 units that scale a residue (a unit multiple of
-g has the same gcd with f).
+monic residues that no irreducible factor of f divides, marking the
+multiples of each factor as trial division finds and divides it out,
+and multiplies by the q - 1 units that scale a residue (a unit multiple
+of g has the same gcd with f).
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
@@ -42,9 +44,8 @@ from .fpoly import (
     Factorization,
     Poly,
     _decode_cv,
+    _degree_groups,
     _divmod_cv,
-    _encode_cv,
-    _factor_cv,
     _least_factor_sieve,
     _monic_cv,
     _monic_multiples,
@@ -59,17 +60,22 @@ from .lehmer_search import lehmer_partitions
 
 
 def totient(f: Poly) -> int:
-    """phi(q, f) computed from the factorization of f."""
+    """phi(q, f) from the degree and multiplicity of each irreducible
+    factor, read off ``fpoly._degree_groups`` with no splitting: a group
+    of degree r * i holds r factors of degree i."""
     spec = _same_field(f, f)
     if len(f.cv) < 2:
         raise InvalidInput("totient requires degree >= 1")
-    return _phi_from_parts(spec.q, _factor_cv(spec, f.cv))
+    groups = _degree_groups(spec, f.cv)
+    parts = [(i, m) for i, m, e in groups for _ in range((len(e) - 1) // i)]
+    return _phi_from_parts(spec.q, parts)
 
 
 def _phi_from_parts(q: int, parts) -> int:
+    """prod q^(d * (m - 1)) * (q^d - 1) over the (degree d, multiplicity m)
+    pairs of the irreducible factors."""
     phi = 1
-    for cv, m in parts:
-        d = len(cv) - 1
+    for d, m in parts:
         phi *= (q**d - 1) * q ** (d * (m - 1))
     return phi
 
@@ -82,14 +88,18 @@ def totient_bruteforce(f: Poly) -> int:
     class holds exactly one monic g.  The count is therefore taken over
     the monic g of degree 0 to deg(f) - 1 and multiplied by q - 1.
 
-    gcd(f, g) = 1 iff no monic divisor h of f with 1 <= deg h < deg f
-    divides g.  Trial division of monic(f) by every monic h of degree
-    <= deg(f) / 2 finds each such h or its cofactor.  Walked by ascending
-    degree, an h whose own cell is marked is a multiple of a smaller
-    divisor and is skipped; every other h marks its monic multiples of
-    degree < deg(f), in one bytearray row per degree indexed like
-    :func:`_phi_rows`.  The unmarked cells are the coprime monic g.  Uses
-    no factorization and no least-factor sieve.  Exponential by design; the
+    gcd(f, g) = 1 iff no irreducible factor of f divides g.  The monic h
+    are tried on work = monic(f) by ascending degree while
+    2 * deg h <= deg work.  Each h that divides work has every power
+    divided out of work and marks its monic multiples of degree < deg(f),
+    in one bytearray row per degree indexed like :func:`_phi_rows`.  An h
+    whose own cell is marked is a multiple of a factor already divided
+    out, so it cannot divide work and is skipped; an unmarked h that
+    divides work is thus irreducible.  What is left of work, if of
+    degree >= 1, has no factor of at most half its degree, so it is
+    irreducible too and marks its multiples when its degree is below
+    deg(f).  The unmarked cells are the coprime monic g.  Uses no
+    factorization and no least-factor sieve.  Exponential by design; the
     independent oracle for :func:`totient`.  Raises OracleOverflow when
     q^deg(f) exceeds ``ORACLE_CAP``.
     """
@@ -100,22 +110,33 @@ def totient_bruteforce(f: Poly) -> int:
     q = spec.q
     if q**n > ORACLE_CAP:
         raise OracleOverflow(f"q^deg = {q}^{n} exceeds the oracle cap {ORACLE_CAP}")
-    fcv = _monic_cv(spec, f.cv)
-    divisors = set()
-    for d in range(1, n // 2 + 1):
-        for code in range(q**d, 2 * q**d):
-            h = _decode_cv(q, code)
-            cofactor, rem = _divmod_cv(spec, fcv, h)
-            if not rem:
-                divisors.update((h, cofactor))
     rows = [bytearray(q**e) for e in range(n)]
-    for h in sorted(divisors, key=len):
+
+    def mark(h) -> None:
         d = len(h) - 1
-        if rows[d][_encode_cv(spec, h) - q**d]:
-            continue
         for row, pairs in zip(rows[d:], _monic_multiples(spec, h, range(n - d))):
             for _, s in pairs:
                 row[s] = 1
+
+    work = _monic_cv(spec, f.cv)
+    d = 1
+    while 2 * d < len(work):
+        for s, marked in enumerate(rows[d]):
+            if marked:
+                continue
+            h = _decode_cv(q, q**d + s)
+            quo, rem = _divmod_cv(spec, work, h)
+            if rem:
+                continue
+            while not rem:
+                work = quo
+                quo, rem = _divmod_cv(spec, work, h)
+            mark(h)
+            if 2 * d >= len(work):
+                break
+        d += 1
+    if 1 < len(work) <= n:
+        mark(work)
     return sum(row.count(0) for row in rows) * (q - 1)
 
 
@@ -154,7 +175,7 @@ def _report(f: Poly, fac: Factorization) -> TotientReport:
     """The report of f, built from its factorization ``fac``."""
     q = f.spec.q
     n = len(f.cv) - 1
-    phi = _phi_from_parts(q, [(p.cv, m) for p, m in fac.factors])
+    phi = _phi_from_parts(q, [(len(p.cv) - 1, m) for p, m in fac.factors])
     modulus_value = q**n - 1
     return TotientReport(
         f=f,

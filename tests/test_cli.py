@@ -376,6 +376,18 @@ def test_verify_main_theorem_over_oracle_cap_exits_3(capsys):
         assert out == "" and "oracle cap" in err
 
 
+def test_verify_main_theorem_far_past_the_oracle_cap_exits_3_at_once(capsys):
+    # 2^1000000 is past the cap by bit lengths alone: no power is taken and
+    # the message formats the degree with decimal_str
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "main-theorem", "--q", "2", "--max-degree", "1000000"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == "" and "oracle cap" in err and "degree 1000000" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -352,6 +352,23 @@ def test_oversized_values_fail_before_any_work():
     assert time.perf_counter() - t0 < 1
 
 
+def test_indices_past_the_str_limit_raise_package_errors():
+    # 5,001 digits is past Python's int-to-str limit, so each message
+    # formats its numbers with decimal_str
+    huge = 10**5000
+    t0 = time.perf_counter()
+    for call in (lambda: cyclotomic(huge), lambda: cyclotomic_eval(huge, 2)):
+        with pytest.raises(SizeCapExceeded, match="cyclotomic index 1000"):
+            call()
+    with pytest.raises(FactoringBudgetExceeded, match=r"^2\^1000"):
+        zsigmondy(2, 1, huge)
+    with pytest.raises(FactoringBudgetExceeded, match=r"^1000"):
+        zsigmondy(huge, 1, 6)
+    with pytest.raises(InvalidInput, match="got -1000"):
+        zsigmondy(3, 2, 5, factoring_budget=-huge)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_zsigmondy_validation():
     with pytest.raises(InvalidInput):
         zsigmondy(2, 3, 4)  # a <= b

@@ -349,7 +349,7 @@ def test_factor_bruteforce_divides_nothing(monkeypatch):
         raise AssertionError("the factor oracle must not divide")
 
     fpoly_module = importlib.import_module("lehmer_ff.fpoly")
-    for name in ("_reduce_cv", "_divmod_cv", "_divide_out", "_gcd_cv", "_factor_cv"):
+    for name in ("_reduce_cv", "_divmod_cv", "_gcd_cv", "_degree_groups", "_factor_cv"):
         monkeypatch.setattr(fpoly_module, name, refuse)
     for f, fac in expected:
         assert factor_bruteforce(f) == fac, str(f)
@@ -367,6 +367,14 @@ def test_irreducibles_refuse_past_the_cap(q, degree):
     t0 = time.perf_counter()
     with pytest.raises(OracleOverflow):
         irreducibles(spec, degree)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_irreducibles_refuse_far_past_the_cap_before_any_power():
+    # 2^100000 entries: refused from the bit lengths, with no power taken
+    t0 = time.perf_counter()
+    with pytest.raises(OracleOverflow, match="to degree 100000 exceeds"):
+        irreducibles(field_make(2), 10**5)
     assert time.perf_counter() - t0 < 1
 
 

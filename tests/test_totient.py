@@ -13,9 +13,11 @@ from lehmer_ff import (
     VerificationError,
     enumerate_polys,
     factor,
+    factor_bruteforce,
     field_from_order,
     field_make,
     irreducible_count,
+    is_irreducible,
     lehmer_set,
     lehmer_set_bruteforce,
     mersenne_divisibility,
@@ -33,6 +35,7 @@ from properties import all_polys
 
 # the package re-exports the function ``totient`` under the module's name
 totient_module = importlib.import_module("lehmer_ff.totient")
+fpoly_module = importlib.import_module("lehmer_ff.fpoly")
 
 
 def P(spec, text):
@@ -126,6 +129,66 @@ def test_phi_sieve_equals_the_factored_totient(q, max_deg):
         assert phi == totient(f), str(f)
 
 
+GROUP_RANGES = [(2, 8), (3, 5), (4, 4), (9, 3)]
+
+
+# repeated factors included: every monic f in range
+@pytest.mark.parametrize("q,max_deg", GROUP_RANGES)
+def test_totient_reads_phi_without_splitting(q, max_deg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("totient must not split a degree group")
+
+    monkeypatch.setattr(fpoly_module, "_split_equal_degree", refuse)
+    for f, phi in sieved(q, max_deg):
+        assert totient(f) == phi, str(f)
+
+
+@pytest.mark.parametrize("q,max_deg", GROUP_RANGES)
+def test_degree_groups_multiply_back_with_their_multiplicities(q, max_deg):
+    """Each group (i, m, e) is the product of exactly the factors of
+    degree i and multiplicity m, so the groups multiply back to f."""
+    spec = field_from_order(q)
+    for n in range(1, max_deg + 1):
+        for f in enumerate_polys(spec, n):
+            expected = {}
+            for p, m in factor_bruteforce(f).factors:
+                key = (p.degree, m)
+                expected[key] = expected.get(key, Poly.one(spec)) * p
+            groups = fpoly_module._degree_groups(spec, f.cv)
+            assert {(i, m): Poly._raw(spec, e) for i, m, e in groups} == expected, str(f)
+            assert len(groups) == len(expected), str(f)
+            back = Poly.one(spec)
+            for _, m, e in groups:
+                for _ in range(m):
+                    back = back * Poly._raw(spec, e)
+            assert back == f, str(f)
+
+
+# a prime power; mixed multiplicities; a linear factor times an
+# irreducible of degree n - 1, whose multiples the leftover work marks
+@pytest.mark.parametrize(
+    "q,factors",
+    [
+        (2, [("x", 19)]),
+        (2, [("x+1", 5), ("x^2+x+1", 3)]),
+        (2, [("x", 1), ("x^18+x^7+1", 1)]),
+        (3, [("x+2", 1), ("x^11+2*x^2+1", 1)]),
+        (3, [("x", 4), ("x+1", 3), ("x^2+1", 2)]),
+    ],
+)
+def test_bruteforce_divides_each_factor_out(q, factors):
+    spec = field_from_order(q)
+    f, phi = Poly.one(spec), 1
+    for text, m in factors:
+        p = P(spec, text)
+        assert is_irreducible(p), text
+        d = p.degree
+        phi *= (q**d - 1) * q ** (d * (m - 1))
+        for _ in range(m):
+            f = f * p
+    assert totient_bruteforce(f) == phi == totient(f), str(f)
+
+
 def coprime_residue_count(f):
     """The literal definition: every nonzero g with deg(g) < deg(f)."""
     one = Poly.one(f.spec)
@@ -179,10 +242,10 @@ def test_bruteforce_needs_no_factoring(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not factor or sieve")
 
-    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
-    monkeypatch.setattr(totient_module, "_factor_cv", refuse)
-    monkeypatch.setattr(totient_module, "_least_factor_sieve", refuse)
-    monkeypatch.setattr(fpoly_module, "_least_factor_sieve", refuse)
+    for module in (totient_module, fpoly_module):
+        monkeypatch.setattr(module, "_degree_groups", refuse)
+        monkeypatch.setattr(module, "_least_factor_sieve", refuse)
+    monkeypatch.setattr(fpoly_module, "_factor_cv", refuse)
     for f, phi in expected:
         assert totient_bruteforce(f) == phi, str(f)
 
@@ -353,7 +416,6 @@ def test_lehmer_set_validates_arguments(f2):
 
 def test_lehmer_set_bruteforce_cap(f2, monkeypatch):
     # 2 + 4 + ... + 2^6 = 126 monic polys fit a cap of 126; degree 7 does not
-    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
     monkeypatch.setattr(fpoly_module, "ORACLE_CAP", 126)
     assert lehmer_set_bruteforce(f2, 6) == lehmer_set(f2, 6)
     with pytest.raises(OracleOverflow):
