@@ -37,14 +37,9 @@ _FIELD_CACHE_SIZE = 16
 
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree k over F_p."""
-    from .fpoly import Poly, _decode_cv, is_irreducible
+    from .fpoly import enumerate_polys, is_irreducible
 
-    fp = field_make(p)
-    for code in range(p**k, 2 * p**k):
-        cand = _decode_cv(p, code)
-        if is_irreducible(Poly._raw(fp, cand)):
-            return cand
-    raise InvalidDegree(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
+    return next(f.cv for f in enumerate_polys(field_make(p), k) if is_irreducible(f))
 
 
 def _generator(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:

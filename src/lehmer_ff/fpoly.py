@@ -12,15 +12,16 @@ for callers that ask for one: ``_divmod_cv`` and ``//`` do; gcd, powmod,
 ``%`` and the trace map take the remainder alone.  ``ffield`` builds its
 extension fields with these kernels over F_p.
 
-Factoring is distinct-degree factorization through x^(q^i) mod f and
-gcd, which ``_degree_groups`` peels into one group per degree and
-multiplicity with no splitting (all ``totient`` needs), then
-Cantor-Zassenhaus equal-degree splitting of each group (a trace map when
-q = 2^k).  Irreducibility is the distinct-degree loop alone, stopped at
-the first gcd that exposes a factor of degree <= deg/2.  Both cost a
-polynomial in deg f and log q, never touch the sieve, and are
-deterministic: the factorization is canonical and the splitting draws
-from a fixed seed.
+One distinct-degree walk, ``_degree_groups``, is the package's only
+Frobenius loop: through x^(q^i) mod f and gcd it yields, lazily and by
+ascending degree, one group per degree and multiplicity with no
+splitting.  ``totient`` reads phi off the groups; ``factor`` splits each
+group by Cantor-Zassenhaus (a trace map when q = 2^k); and
+``is_irreducible`` takes the first group alone, so it stops at the first
+factor of degree <= deg/2 (``ffield`` finds each extension modulus with
+it).  All cost a polynomial in deg f and log q, never touch the sieve,
+and are deterministic: the factorization is canonical and the splitting
+draws from a fixed seed.
 One least-factor sieve, walked with ``_monic_multiples``, serves the
 oracles: ``irreducibles``, ``factor_bruteforce``, which follows its chain
 of cofactors and so divides nothing, and the phi oracle in ``totient``.
@@ -337,27 +338,21 @@ def poly_powmod(g: Poly, e: int, f: Poly) -> Poly:
     spec = _same_field(g, f)
     if len(f.cv) < 2:
         raise InvalidModulus("modulus must have degree >= 1")
-    if e < 0:
+    if not isinstance(e, int) or e < 0:
         raise InvalidInput("exponent must be nonnegative")
     return Poly._raw(spec, _powmod_cv(spec, g.cv, e, f.cv))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Distinct-degree test: f of degree n is reducible exactly when it
-    has an irreducible factor of degree i <= n/2, that is when
-    gcd(x^(q^i) - x, f) != 1 for some such i."""
+    """f of degree n is irreducible exactly when the first group that
+    :func:`_degree_groups` yields has degree n: a reducible f has a factor
+    of degree i <= n/2, and the walk yields at the first such i, so the
+    test stops there."""
     spec = _same_field(f, f)
     deg = len(f.cv) - 1
     if deg < 1:
         raise InvalidInput("irreducibility is defined for degree >= 1")
-    cv = _monic_cv(spec, f.cv)
-    x = (0, 1)
-    h = x
-    for _ in range(deg // 2):
-        h = _powmod_cv(spec, h, spec.q, cv)
-        if _gcd_cv(spec, cv, _sub_cv(spec, h, x)) != (1,):
-            return False
-    return True
+    return next(_degree_groups(spec, f.cv))[0] == deg
 
 
 ORACLE_CAP = 1 << 20
@@ -451,7 +446,7 @@ def _monic_multiples(spec: FieldSpec, pcv, ms: range) -> list[Iterator[tuple[int
 def irreducibles(spec: FieldSpec, d: int, _max_degree: int = 0) -> list[Poly]:
     """All monic irreducibles of degree d, sorted by encoding: the degree-d
     entries left at 0 in the least-factor sieve to max(d, ``_max_degree``)."""
-    if d < 1:
+    if not isinstance(d, int) or d < 1:
         raise InvalidInput("degree must be >= 1")
     row = _least_factor_sieve(spec.p, spec.k, max(d, _max_degree))[0][d]
     return [Poly._raw(spec, _decode_cv(spec.q, c)) for c, w in enumerate(row, spec.q**d) if not w]
@@ -459,7 +454,7 @@ def irreducibles(spec: FieldSpec, d: int, _max_degree: int = 0) -> list[Poly]:
 
 def irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q (necklace count)."""
-    if q < 2 or d < 1:
+    if not (isinstance(q, int) and isinstance(d, int)) or q < 2 or d < 1:
         raise InvalidInput("need q >= 2 and d >= 1")
     total = sum(mu * q**e for e, mu in mobius_divisors(d))
     if total % d:
@@ -510,9 +505,11 @@ def _factor_cv(spec: FieldSpec, cv) -> list[tuple[tuple, int]]:
     return out
 
 
-def _degree_groups(spec: FieldSpec, cv) -> list[tuple[int, int, tuple]]:
-    """The triples (i, m, e) for a nonzero cv: e is the monic product of
-    the distinct degree-i irreducibles that divide cv exactly m times.
+def _degree_groups(spec: FieldSpec, cv) -> Iterator[tuple[int, int, tuple]]:
+    """Yield the triples (i, m, e) for a nonzero cv, by ascending i: e is
+    the monic product of the distinct degree-i irreducibles that divide cv
+    exactly m times.  The walk is lazy, so a caller that stops at the
+    first triple pays only the Frobenius steps up to its degree.
 
     Distinct-degree factorization: with h = x^(q^i) mod work,
     g = gcd(work, h - x) is the product of the distinct degree-i
@@ -528,7 +525,6 @@ def _degree_groups(spec: FieldSpec, cv) -> list[tuple[int, int, tuple]]:
     work = _monic_cv(spec, cv)
     x = (0, 1)
     h = x
-    out = []
     i = 1
     while len(work) - 1 >= 2 * i:
         h = _powmod_cv(spec, h, spec.q, work)
@@ -538,12 +534,11 @@ def _degree_groups(spec: FieldSpec, cv) -> list[tuple[int, int, tuple]]:
             work = _divmod_cv(spec, work, g)[0]
             again = _gcd_cv(spec, work, g)
             if len(again) < len(g):
-                out.append((i, m, g if len(again) == 1 else _divmod_cv(spec, g, again)[0]))
+                yield i, m, g if len(again) == 1 else _divmod_cv(spec, g, again)[0]
             g, m = again, m + 1
         i += 1
     if len(work) > 1:
-        out.append((len(work) - 1, 1, work))
-    return out
+        yield len(work) - 1, 1, work
 
 
 def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
@@ -593,7 +588,7 @@ def _factor_cv_bruteforce(spec: FieldSpec, cv, max_degree: int) -> list[tuple[tu
 
 def enumerate_polys(spec: FieldSpec, n: int) -> Iterator[Poly]:
     """Every monic polynomial of exact degree n, in encoding order."""
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise InvalidInput("degree must be >= 0")
     q = spec.q
     lo = q**n

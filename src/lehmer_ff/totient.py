@@ -63,12 +63,18 @@ def totient(f: Poly) -> int:
     """phi(q, f) from the degree and multiplicity of each irreducible
     factor, read off ``fpoly._degree_groups`` with no splitting: a group
     of degree r * i holds r factors of degree i."""
-    spec = _same_field(f, f)
-    if len(f.cv) < 2:
-        raise InvalidInput("totient requires degree >= 1")
+    spec = _totient_field(f)
     groups = _degree_groups(spec, f.cv)
     parts = [(i, m) for i, m, e in groups for _ in range((len(e) - 1) // i)]
     return _phi_from_parts(spec.q, parts)
+
+
+def _totient_field(f: Poly) -> FieldSpec:
+    """The field of f, which the totient functions take only at degree >= 1."""
+    spec = _same_field(f, f)
+    if len(f.cv) < 2:
+        raise InvalidInput("totient requires degree >= 1")
+    return spec
 
 
 def _phi_from_parts(q: int, parts) -> int:
@@ -103,9 +109,7 @@ def totient_bruteforce(f: Poly) -> int:
     independent oracle for :func:`totient`.  Raises OracleOverflow when
     q^deg(f) exceeds ``ORACLE_CAP``.
     """
-    spec = _same_field(f, f)
-    if len(f.cv) < 2:
-        raise InvalidInput("totient requires degree >= 1")
+    spec = _totient_field(f)
     n = len(f.cv) - 1
     q = spec.q
     if q**n > ORACLE_CAP:
@@ -165,9 +169,7 @@ class TotientReport(NamedTuple):
 
 
 def totient_report(f: Poly) -> TotientReport:
-    _same_field(f, f)
-    if len(f.cv) < 2:
-        raise InvalidInput("totient requires degree >= 1")
+    _totient_field(f)
     return _report(f, factor(f))
 
 

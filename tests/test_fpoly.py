@@ -330,6 +330,27 @@ def test_is_irreducible_equals_sieve_membership():
                     assert is_irreducible(f) == (m == 1 and not rest), (q, str(f))
 
 
+@pytest.mark.parametrize("q,g", [(2, "x^20+x^3+1"), (65521, "x^20+x+31")])
+def test_is_irreducible_stops_at_the_first_factor(q, g, monkeypatch):
+    """x * g has the factor x of degree 1, so the test makes one Frobenius
+    step x^q mod f and stops there; a walk consumed to its end would make
+    deg g / 2 + 1 of them."""
+    spec = field_from_order(q)
+    g = P(spec, g)
+    assert is_irreducible(g)
+    fpoly_module = importlib.import_module("lehmer_ff.fpoly")
+    calls = []
+    powmod = fpoly_module._powmod_cv
+
+    def counted(*args):
+        calls.append(args[2])
+        return powmod(*args)
+
+    monkeypatch.setattr(fpoly_module, "_powmod_cv", counted)
+    assert not is_irreducible(P(spec, "x") * g)
+    assert calls == [q]
+
+
 def test_factor_bruteforce_divides_nothing(monkeypatch):
     """The oracle follows the sieve's chain of least factors, so it gives
     the factorizations of `factor` with every division kernel made to
@@ -645,10 +666,15 @@ def test_repr_names_the_text_and_the_field(f2, f9):
         (lambda f2: parse_poly(f2, "()"), ParseError),
         (lambda f2: parse_poly(f2, "()x"), ParseError),
         (lambda f2: zsigmondy(2.0, 1, 6), InvalidInput),
+        (lambda f2: poly_powmod(P(f2, "x"), 2.0, P(f2, "x^2+x+1")), InvalidInput),
+        (lambda f2: irreducibles(f2, 2.0), InvalidInput),
+        (lambda f2: list(enumerate_polys(f2, 2.0)), InvalidInput),
+        (lambda f2: irreducible_count(2, 2.0), InvalidInput),
     ],
     ids=["mod-zero", "powmod-negative", "irreducibles-0", "count-q1",
          "enumerate-negative", "close-before-open", "empty-parens",
-         "empty-parens-before-x", "zsigmondy-float"],
+         "empty-parens-before-x", "zsigmondy-float", "powmod-float",
+         "irreducibles-float", "enumerate-float", "count-float"],
 )
 def test_bad_arguments_raise_package_errors(f2, call, error):
     with pytest.raises(error):

@@ -1,8 +1,9 @@
 """Every name a package module imports is read somewhere in that module,
 every name the package exports is read outside its own module, every
 module constant is read by the package or the benchmark, every cache is
-bounded, only the CLI's renderer writes to stdout, and importing the CLI
-loads no standard module that start-up does not need."""
+bounded, one function takes Frobenius steps, only the CLI's renderer
+writes to stdout, and importing the CLI loads no standard module that
+start-up does not need."""
 
 import ast
 import json
@@ -209,6 +210,59 @@ def test_unbounded_cache_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+# -- one distinct-degree walk --------------------------------------------------
+
+FROBENIUS_WALK = "fpoly._degree_groups"
+
+
+def _is_frobenius_step(node) -> bool:
+    """A call ``_powmod_cv(spec, g, spec.q, f)``: g^q mod f."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    exponent = node.args[2:3] + [k.value for k in node.keywords if k.arg == "e"]
+    return name == "_powmod_cv" and [ast.unparse(e) for e in exponent] == ["spec.q"]
+
+
+def frobenius_callers(source: str) -> list[str]:
+    """The innermost function around each Frobenius step of a source."""
+    found = []
+
+    def visit(node, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if _is_frobenius_step(child):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_frobenius_step_is_found():
+    source = (
+        "def walk(spec, h, f):\n"
+        "    return _powmod_cv(spec, h, spec.q, f)\n"
+        "def outer(spec, h, f):\n"
+        "    def inner():\n"
+        "        return fpoly._powmod_cv(spec, h, e=spec.q, f=f)\n"
+        "    return _powmod_cv(spec, h, spec.q - 1, f), _powmod_cv(spec, h, 2, f)\n"
+    )
+    assert frobenius_callers(source) == ["walk", "inner"]
+
+
+def test_one_function_takes_frobenius_steps():
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in frobenius_callers(path.read_text())
+    ]
+    assert found == [FROBENIUS_WALK]
 
 
 # -- the output boundary -------------------------------------------------------

@@ -154,7 +154,7 @@ def test_degree_groups_multiply_back_with_their_multiplicities(q, max_deg):
             for p, m in factor_bruteforce(f).factors:
                 key = (p.degree, m)
                 expected[key] = expected.get(key, Poly.one(spec)) * p
-            groups = fpoly_module._degree_groups(spec, f.cv)
+            groups = list(fpoly_module._degree_groups(spec, f.cv))
             assert {(i, m): Poly._raw(spec, e) for i, m, e in groups} == expected, str(f)
             assert len(groups) == len(expected), str(f)
             back = Poly.one(spec)
