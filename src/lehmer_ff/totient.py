@@ -13,7 +13,10 @@ off the distinct-degree groups and splits none.
 monic residues that no irreducible factor of f divides, marking the
 multiples of each factor as trial division finds and divides it out,
 and multiplies by the q - 1 units that scale a residue (a unit multiple
-of g has the same gcd with f).
+of g has the same gcd with f).  Its marks are int bitsets, one per
+degree, and each factor ORs in masks of its multiples from a bounded
+cache (at most 128 entries of at most ``ORACLE_CAP`` bits, 16 MiB), so
+a run over many f walks the multiples of each divisor once.
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
@@ -32,7 +35,7 @@ bound on the number of distinct factors).
 from __future__ import annotations
 
 from array import array
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 from typing import NamedTuple
@@ -97,38 +100,39 @@ def totient_bruteforce(f: Poly) -> int:
     gcd(f, g) = 1 iff no irreducible factor of f divides g.  The monic h
     are tried on work = monic(f) by ascending degree while
     2 * deg h <= deg work.  Each h that divides work has every power
-    divided out of work and marks its monic multiples of degree < deg(f),
-    in one bytearray row per degree indexed like :func:`_phi_rows`.  An h
-    whose own cell is marked is a multiple of a factor already divided
-    out, so it cannot divide work and is skipped; an unmarked h that
-    divides work is thus irreducible.  What is left of work, if of
-    degree >= 1, has no factor of at most half its degree, so it is
-    irreducible too and marks its multiples when its degree is below
-    deg(f).  The unmarked cells are the coprime monic g.  Uses no
-    factorization and no least-factor sieve.  Exponential by design; the
-    independent oracle for :func:`totient`.  Raises OracleOverflow when
-    q^deg(f) exceeds ``ORACLE_CAP``.
+    divided out of work and marks its monic multiples of degree < deg(f)
+    by ORing its masks from :func:`_multiple_masks` into the bitset row
+    of each degree, one int with a bit per monic residue.  An h whose
+    own bit is set is a multiple of a factor already divided out, so it
+    cannot divide work and is skipped; an unmarked h that divides work
+    is thus irreducible.  What is left of work, if of degree >= 1, has
+    no factor of at most half its degree, so it is irreducible too and
+    marks its multiples when its degree is below deg(f).  The clear bits
+    are the coprime monic g.  The masks stay cached, so a run over many
+    f walks the multiples of each divisor once.  Uses no factorization
+    and no least-factor sieve.  Exponential by design; the independent
+    oracle for :func:`totient`.  Raises OracleOverflow when q^deg(f)
+    exceeds ``ORACLE_CAP``.
     """
     spec = _totient_field(f)
     n = len(f.cv) - 1
     q = spec.q
     if q**n > ORACLE_CAP:
         raise OracleOverflow(f"q^deg = {q}^{n} exceeds the oracle cap {ORACLE_CAP}")
-    rows = [bytearray(q**e) for e in range(n)]
+    rows = [0] * n
 
     def mark(h) -> None:
-        d = len(h) - 1
-        for row, pairs in zip(rows[d:], _monic_multiples(spec, h, range(n - d))):
-            for _, s in pairs:
-                row[s] = 1
+        for e, mask in enumerate(_multiple_masks(spec, h, n - 1), len(h) - 1):
+            rows[e] |= mask
 
     work = _monic_cv(spec, f.cv)
     d = 1
     while 2 * d < len(work):
-        for s, marked in enumerate(rows[d]):
-            if marked:
+        size = q**d
+        for s in range(size):
+            if rows[d] >> (size - 1 - s) & 1:  # bit order of `_multiple_masks`
                 continue
-            h = _decode_cv(q, q**d + s)
+            h = _decode_cv(q, size + s)
             quo, rem = _divmod_cv(spec, work, h)
             if rem:
                 continue
@@ -141,7 +145,31 @@ def totient_bruteforce(f: Poly) -> int:
         d += 1
     if 1 < len(work) <= n:
         mark(work)
-    return sum(row.count(0) for row in rows) * (q - 1)
+    return sum(q**e - row.bit_count() for e, row in enumerate(rows)) * (q - 1)
+
+
+# An entry holds one bit per monic polynomial of degree below some n with
+# q^n <= ORACLE_CAP, so at most ORACLE_CAP bits, and the cache at most
+# 128 * 2^20 bits, 16 MiB.  One `verify --suite oracle` run reads 99 keys.
+_MASK_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _multiple_masks(spec: FieldSpec, h: tuple, top: int) -> tuple[int, ...]:
+    """For h monic of degree d <= top, one int per degree e = d to top
+    with bit q^e - 1 - s set for each monic multiple of h of code q^e + s.
+
+    One :func:`fpoly._monic_multiples` walk writes a row of base-2 digits
+    per degree, offset s at index s, which ``int`` reads most significant
+    digit first, in time linear in the row."""
+    d = len(h) - 1
+    masks = []
+    for e, pairs in enumerate(_monic_multiples(spec, h, range(top - d + 1)), d):
+        row = bytearray(b"0") * spec.q**e
+        for _, s in pairs:
+            row[s] = 49  # b"1"
+        masks.append(int(row, 2))
+    return tuple(masks)
 
 
 class TotientReport(NamedTuple):

@@ -57,7 +57,6 @@ KEPT = {
     "cli.main": "the console script's entry point; the calls enter run() below it",
     "ffield.FieldSpec.__reduce__": SPEC_VALUE,
     "ffield.FieldSpec.__eq__": SPEC_VALUE,
-    "ffield.FieldSpec.__hash__": SPEC_VALUE,
     "ffield.FieldSpec.__repr__": "names the field in error messages of the element API",
     "ffield.FieldSpec.zero": FIELD_ELEMENTS,
     "ffield.FieldSpec.one": FIELD_ELEMENTS,

@@ -230,6 +230,16 @@ def test_bruteforce_reaches_the_cap(q, text):
     assert elapsed < 2, elapsed
 
 
+def test_bruteforce_reaches_the_odd_p_cap(f3):
+    f = P(f3, "x^12+x")
+    assert 3**f.degree <= totient_module.ORACLE_CAP < 3 ** (f.degree + 1)
+    t0 = time.perf_counter()
+    count = totient_bruteforce(f)
+    elapsed = time.perf_counter() - t0
+    assert count == totient(f)
+    assert elapsed < 2, elapsed
+
+
 def test_bruteforce_needs_no_factoring(monkeypatch):
     fields = [(field_from_order(2), 6), (field_from_order(9), 2)]
     expected = [
@@ -250,26 +260,63 @@ def test_bruteforce_needs_no_factoring(monkeypatch):
         assert totient_bruteforce(f) == phi, str(f)
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 4)])
-def test_bruteforce_walks_each_irreducible_factor_once(q, max_deg, monkeypatch):
-    """Divisors go by ascending degree, so every reducible divisor is
-    already marked by a factor of it and only the distinct irreducible
-    factors of degree < deg(f) have their multiples walked."""
-    spec = field_from_order(q)
+def recorded_walks(monkeypatch) -> list:
+    """The (q, divisor, degrees) of each multiples walk that
+    ``totient_bruteforce`` makes from here on."""
     walked = []
     walk = totient_module._monic_multiples
 
     def recorded(spec, pcv, ms):
-        walked.append(pcv)
+        walked.append((spec.q, pcv, ms))
         return walk(spec, pcv, ms)
 
     monkeypatch.setattr(totient_module, "_monic_multiples", recorded)
+    return walked
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 4)])
+def test_bruteforce_walks_each_irreducible_factor_once(q, max_deg, monkeypatch):
+    """Divisors go by ascending degree, so every reducible divisor is
+    already marked by a factor of it and only the distinct irreducible
+    factors of degree < deg(f) have their multiples walked (with the
+    mask cache emptied before each f, so that no mask is reused)."""
+    spec = field_from_order(q)
+    walked = recorded_walks(monkeypatch)
     for n in range(2, max_deg + 1):
         for f in enumerate_polys(spec, n):
             walked.clear()
+            totient_module._multiple_masks.cache_clear()
             totient_bruteforce(f)
             irreducible = {p.cv for p, _ in factor(f).factors if p.degree < n}
-            assert sorted(walked) == sorted(irreducible), str(f)
+            assert sorted(pcv for _, pcv, _ in walked) == sorted(irreducible), str(f)
+
+
+def test_cold_oracle_suite_walks_each_divisor_once(monkeypatch):
+    """One walk per distinct (field, divisor, top degree) of the suite;
+    without the mask cache the suite makes 925 walks of these 99 keys."""
+    walked = recorded_walks(monkeypatch)
+    totient_module._multiple_masks.cache_clear()
+    assert suites_module.suite_oracle().ok
+    assert len(walked) == len(set(walked)) == 99
+
+
+def test_warm_oracle_suite_walks_nothing(monkeypatch):
+    walked = recorded_walks(monkeypatch)
+    totient_module._multiple_masks.cache_clear()
+    cold = suites_module.suite_oracle().as_payload()
+    walked.clear()
+    assert suites_module.suite_oracle().as_payload() == cold
+    assert walked == []
+
+
+def test_mask_cache_is_bounded(f2):
+    """An entry holds at most ORACLE_CAP bits, and the cache a bounded
+    number of entries; the multiples of x are the g with g(0) = 0."""
+    masks = totient_module._multiple_masks
+    assert masks.cache_parameters()["maxsize"] is not None
+    entry = masks(f2, (0, 1), 19)
+    assert sum(mask.bit_length() for mask in entry) <= 2**20
+    assert [mask.bit_count() for mask in entry] == [2 ** (e - 1) for e in range(1, 20)]
 
 
 def test_is_lehmer_examples(f2):
