@@ -105,12 +105,14 @@ class FieldSpec:
     extension field holds ``exp`` and ``log`` tables of size O(q) for its
     generator (the smallest-encoding element of order q - 1): products,
     inverses and negatives are lookups, sums are ``xor`` when p = 2 and go
-    through Zech's logarithm Z(n) = log(1 + g^n) for odd p.  Instances
+    through Zech's logarithm Z(n) = log(1 + g^n) for odd p.  The tables
+    are the attributes ``exp`` and ``log`` (None for a prime field), which
+    the characteristic-2 kernels of ``fpoly`` read directly.  Instances
     are interned by :func:`field_make`, are safe to share between
     threads/processes, and pickle by (p, k).
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv")
+    __slots__ = ("p", "k", "q", "modulus", "exp", "log", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, p: int, k: int):
         q = p**k
@@ -118,6 +120,7 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = _canonical_modulus(p, k) if k > 1 else None
+        self.exp = self.log = None
         if k > 1:
             self._log_ops()
             return
@@ -143,6 +146,7 @@ class FieldSpec:
         for i, e in enumerate(cycle):
             log[e] = i
         exp = cycle + cycle + [0] * (2 * n + 1)
+        self.exp, self.log = exp, log
         self.mul = lambda a, b, _e=exp, _l=log: _e[_l[a] + _l[b]]
 
         def inv(a: int) -> int:
@@ -309,7 +313,8 @@ def field_make(p: int, k: int = 1) -> FieldSpec:
 
     The size checks come before any work that grows with p or k: p is held
     to the cap before its primality test, and k to 16 (2^17 > MAX_Q)
-    before p^k is computed."""
+    before p^k is computed.  The primality and degree checks run inside
+    the interned constructor, so a field already built skips them."""
     if not isinstance(p, int):
         raise InvalidPrime(f"{p} is not prime")
     if not isinstance(k, int):
@@ -318,17 +323,18 @@ def field_make(p: int, k: int = 1) -> FieldSpec:
         raise InvalidDegree(
             f"q = {decimal_str(p)}^{decimal_str(k)} exceeds the supported cap {MAX_Q}"
         )
+    return _field_make_cached(p, k)
+
+
+@lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _field_make_cached(p: int, k: int) -> FieldSpec:
+    # a refused (p, k) raises, so the cache keeps valid fields only
     if not is_prime(p):
         raise InvalidPrime(f"{decimal_str(p)} is not prime")
     if k < 1:
         raise InvalidDegree(f"extension degree must be >= 1, got {decimal_str(k)}")
     if k >= MAX_Q.bit_length() or p**k > MAX_Q:
         raise InvalidDegree(f"q = {p}^{decimal_str(k)} exceeds the supported cap {MAX_Q}")
-    return _field_make_cached(p, k)
-
-
-@lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def _field_make_cached(p: int, k: int) -> FieldSpec:
     return FieldSpec(p, k)
 
 
@@ -338,6 +344,13 @@ def field_from_order(q: int) -> FieldSpec:
         raise InvalidPrime(f"{q} is not a prime power")
     if q > MAX_Q:
         raise InvalidDegree(f"q = {decimal_str(q)} exceeds the supported cap {MAX_Q}")
+    return field_make(*_prime_power(q))
+
+
+@lru_cache(maxsize=64)
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, for q <= MAX_Q; a q that is no prime power
+    raises, so the cache keeps prime powers only."""
     if q < 2 or len(factors := factorize(q)) != 1:
         raise InvalidPrime(f"{decimal_str(q)} is not a prime power")
-    return field_make(*factors.popitem())
+    return factors.popitem()

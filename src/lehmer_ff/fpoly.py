@@ -12,6 +12,20 @@ for callers that ask for one: ``_divmod_cv`` and ``//`` do; gcd, powmod,
 ``%`` and the trace map take the remainder alone.  ``ffield`` builds its
 extension fields with these kernels over F_p.
 
+The kernels ``_mul_cv``, ``_sqr_cv`` and ``_reduce_cv`` each have one
+inner loop per field family, chosen by the field and never by size: a
+prime field computes on native ints with one ``% p`` per update; a
+field of characteristic 2 with k > 1 reads the exp/log tables of its
+``FieldSpec`` directly, where log(0) is a sentinel whose sum with any
+logarithm indexes a zero, so zero coefficients need no branch; an odd
+extension field calls ``spec.add`` and ``spec.mul`` (Zech tables).  A
+square in characteristic 2 is the squared coefficients at even
+positions; otherwise ``_sqr_cv`` takes each cross product once and
+doubles it.  ``_powmod_cv`` runs left to right from the leading bit of
+the exponent, squaring with ``_sqr_cv`` and multiplying by the reduced
+base alone, so a Frobenius step x^q mod f takes squarings and products
+by x only.
+
 One distinct-degree walk, ``_degree_groups``, is the package's only
 Frobenius loop: through x^(q^i) mod f and gcd it yields, lazily and by
 ascending degree, one group per degree and multiplicity with no
@@ -84,17 +98,62 @@ def _sub_cv(spec: FieldSpec, a, b):
     return tuple(_trim(out))
 
 
-def _mul_cv(spec: FieldSpec, a, b):
+def _mul_cv(spec: FieldSpec, a, b) -> list:
     if not a or not b:
-        return ()
-    add, mul = spec.add, spec.mul
+        return []
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return tuple(out)
+    if spec.k == 1:
+        p = spec.p
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] = (out[j] + ai * bj) % p
+    elif spec.p == 2:
+        exp, log = spec.exp, spec.log
+        logs = list(map(log.__getitem__, b))  # log(0) indexes the zeros of exp
+        for i, ai in enumerate(a):
+            if ai:
+                la = log[ai]
+                for j, lb in enumerate(logs, i):
+                    out[j] ^= exp[la + lb]
+    else:
+        add, mul = spec.add, spec.mul
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    if bj:
+                        out[j] = add(out[j], mul(ai, bj))
+    return out
+
+
+def _sqr_cv(spec: FieldSpec, a) -> list:
+    """``_mul_cv(spec, a, a)``.  In characteristic 2 the cross terms cancel,
+    so the square is the squared coefficients at even positions; otherwise
+    each cross product is taken once and doubled."""
+    if not a:
+        return []
+    out = [0] * (2 * len(a) - 1)
+    if spec.p == 2:
+        exp, log = spec.exp, spec.log  # c^2 = c in F_2, which has no tables
+        out[::2] = a if spec.k == 1 else [exp[2 * log[c]] for c in a]
+    elif spec.k == 1:
+        p = spec.p
+        for i, ai in enumerate(a):
+            if ai:
+                out[2 * i] = (out[2 * i] + ai * ai) % p
+                twice = 2 * ai
+                for j, aj in enumerate(a[i + 1 :], 2 * i + 1):
+                    out[j] = (out[j] + twice * aj) % p
+    else:
+        add, mul = spec.add, spec.mul
+        for i, ai in enumerate(a):
+            if ai:
+                out[2 * i] = add(out[2 * i], mul(ai, ai))
+                twice = add(ai, ai)
+                for j, aj in enumerate(a[i + 1 :], 2 * i + 1):
+                    if aj:
+                        out[j] = add(out[j], mul(twice, aj))
+    return out
 
 
 def _reduce_cv(spec: FieldSpec, rem: list, den, quo: list | None = None) -> list:
@@ -103,26 +162,55 @@ def _reduce_cv(spec: FieldSpec, rem: list, den, quo: list | None = None) -> list
     This is the one long-division loop of the module.  Quotient digits are
     written into ``quo`` (a zero list of length len(rem) - deg den, when
     that is positive) only when it is passed; callers that need only the
-    remainder skip building a quotient.
+    remainder skip building a quotient.  Each step subtracts c * den from
+    rem[i:], whose leading term clears rem[i + deg den].
     """
     if not den:
         raise DivisionByZero("polynomial division by zero")
     dd = len(den) - 1
-    mul, sub = spec.mul, spec.sub
+    if len(rem) <= dd:
+        return _trim(rem)
     # factoring divides by monic polynomials, which need no scaling
     lead_inv = 1 if den[-1] == 1 else spec.inv(den[-1])
-    for i in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[i + dd]
-        if c:
-            if lead_inv != 1:
-                c = mul(c, lead_inv)
-            if quo is not None:
-                quo[i] = c
-            for j in range(dd):
-                dj = den[j]
-                if dj:
-                    rem[i + j] = sub(rem[i + j], mul(c, dj))
-            rem[i + dd] = 0
+    steps = range(len(rem) - 1 - dd, -1, -1)
+    if spec.k == 1:
+        p = spec.p
+        for i in steps:
+            c = rem[i + dd]
+            if c:
+                if lead_inv != 1:
+                    c = c * lead_inv % p
+                if quo is not None:
+                    quo[i] = c
+                for j, dj in enumerate(den, i):
+                    if dj:
+                        rem[j] = (rem[j] - c * dj) % p
+    elif spec.p == 2:
+        # lc = log(c / lead) is taken mod q - 1, so lc + log(dj) indexes
+        # the product for dj != 0 and the zeros of exp for dj = 0
+        exp, log, n = spec.exp, spec.log, spec.q - 1
+        log_inv = log[lead_inv]
+        for i in steps:
+            c = rem[i + dd]
+            if c:
+                lc = (log[c] + log_inv) % n
+                if quo is not None:
+                    quo[i] = exp[lc]
+                for j, dj in enumerate(den, i):
+                    rem[j] ^= exp[lc + log[dj]]
+    else:
+        add, mul, neg = spec.add, spec.mul, spec.neg
+        for i in steps:
+            c = rem[i + dd]
+            if c:
+                if lead_inv != 1:
+                    c = mul(c, lead_inv)
+                if quo is not None:
+                    quo[i] = c
+                c = neg(c)
+                for j, dj in enumerate(den, i):
+                    if dj:
+                        rem[j] = add(rem[j], mul(c, dj))
     del rem[dd:]
     return _trim(rem)
 
@@ -151,18 +239,18 @@ def _gcd_cv(spec: FieldSpec, a, b):
 
 
 def _powmod_cv(spec: FieldSpec, g, e: int, f):
+    """g^e mod f, left to right from the leading bit of e: the power starts
+    at the reduced base, so every multiplication is by the base (x itself
+    in a first Frobenius step), and q = 2^k takes squarings alone."""
+    if not e:
+        return (1,)
     g = _reduce_cv(spec, list(g), f)
-    result = None  # 1, kept apart so the first product is not computed
-    while e:
-        if e & 1:
-            if result is None:
-                result = g
-            else:
-                result = _reduce_cv(spec, list(_mul_cv(spec, result, g)), f)
-        e >>= 1
-        if e:
-            g = _reduce_cv(spec, list(_mul_cv(spec, g, g)), f)
-    return (1,) if result is None else tuple(result)
+    result = g
+    for bit in bin(e)[3:]:
+        result = _reduce_cv(spec, _sqr_cv(spec, result), f)
+        if bit == "1":
+            result = _reduce_cv(spec, _mul_cv(spec, result, g), f)
+    return tuple(result)
 
 
 def _encode_cv(spec: FieldSpec, cv) -> int:
@@ -249,7 +337,7 @@ class Poly:
             v, mul = self.spec._encode(other), self.spec.mul
             return Poly._raw(self.spec, tuple(_trim([mul(c, v) for c in self.cv])))
         spec = _same_field(self, other)
-        return Poly._raw(spec, _mul_cv(spec, self.cv, other.cv))
+        return Poly._raw(spec, tuple(_mul_cv(spec, self.cv, other.cv)))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         spec = _same_field(self, other)
@@ -561,7 +649,7 @@ def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
         if spec.p == 2:
             t = s = a
             for _ in range(spec.k * d - 1):
-                t = _reduce_cv(spec, list(_mul_cv(spec, t, t)), g)
+                t = _reduce_cv(spec, _sqr_cv(spec, t), g)
                 s = _add_cv(spec, s, t)
         else:
             s = _sub_cv(spec, _powmod_cv(spec, a, (q**d - 1) // 2, g), (1,))
