@@ -6,7 +6,7 @@ degree ``NEG_INF``).  Polynomials are totally ordered by their integer
 encoding sum(enc(c_i) * q^i); that single order is reused for the
 least-factor sieve, factor lists, and enumeration streams.
 
-Every division in the package runs one long-division loop,
+Every division in the package runs one long-division routine,
 ``_reduce_cv``, which reduces a list in place and builds a quotient only
 for callers that ask for one: ``_divmod_cv`` and ``//`` do; gcd, powmod,
 ``%`` and the trace map take the remainder alone.  ``ffield`` builds its
@@ -20,8 +20,9 @@ field of characteristic 2 with k > 1 reads the exp/log tables of its
 logarithm indexes a zero, so zero coefficients need no branch; an odd
 extension field calls ``spec.add`` and ``spec.mul`` (Zech tables).  A
 square in characteristic 2 is the squared coefficients at even
-positions; otherwise ``_sqr_cv`` takes each cross product once and
-doubles it.  ``_powmod_cv`` runs left to right from the leading bit of
+positions; over F_p ``_sqr_cv`` takes each cross product once and
+doubles it, and an odd extension field squares with ``_mul_cv``.
+``_powmod_cv`` runs left to right from the leading bit of
 the exponent, squaring with ``_sqr_cv`` and multiplying by the reduced
 base alone, so a Frobenius step x^q mod f takes squarings and products
 by x only.
@@ -128,15 +129,18 @@ def _mul_cv(spec: FieldSpec, a, b) -> list:
 
 def _sqr_cv(spec: FieldSpec, a) -> list:
     """``_mul_cv(spec, a, a)``.  In characteristic 2 the cross terms cancel,
-    so the square is the squared coefficients at even positions; otherwise
-    each cross product is taken once and doubled."""
+    so the square is the squared coefficients at even positions; over F_p
+    each cross product is taken once and doubled; an odd extension field
+    takes the product loop."""
+    if spec.k > 1 and spec.p != 2:
+        return _mul_cv(spec, a, a)
     if not a:
         return []
     out = [0] * (2 * len(a) - 1)
     if spec.p == 2:
         exp, log = spec.exp, spec.log  # c^2 = c in F_2, which has no tables
         out[::2] = a if spec.k == 1 else [exp[2 * log[c]] for c in a]
-    elif spec.k == 1:
+    else:
         p = spec.p
         for i, ai in enumerate(a):
             if ai:
@@ -144,26 +148,18 @@ def _sqr_cv(spec: FieldSpec, a) -> list:
                 twice = 2 * ai
                 for j, aj in enumerate(a[i + 1 :], 2 * i + 1):
                     out[j] = (out[j] + twice * aj) % p
-    else:
-        add, mul = spec.add, spec.mul
-        for i, ai in enumerate(a):
-            if ai:
-                out[2 * i] = add(out[2 * i], mul(ai, ai))
-                twice = add(ai, ai)
-                for j, aj in enumerate(a[i + 1 :], 2 * i + 1):
-                    if aj:
-                        out[j] = add(out[j], mul(twice, aj))
     return out
 
 
 def _reduce_cv(spec: FieldSpec, rem: list, den, quo: list | None = None) -> list:
     """Reduce ``rem`` modulo ``den`` in place and return it trimmed.
 
-    This is the one long-division loop of the module.  Quotient digits are
-    written into ``quo`` (a zero list of length len(rem) - deg den, when
-    that is positive) only when it is passed; callers that need only the
-    remainder skip building a quotient.  Each step subtracts c * den from
-    rem[i:], whose leading term clears rem[i + deg den].
+    This is the module's one long-division routine, with one inner loop
+    per field family.  Quotient digits are written into ``quo`` (a zero
+    list of length len(rem) - deg den, when that is positive) only when it
+    is passed; callers that need only the remainder skip building a
+    quotient.  Each step subtracts c * den from rem[i:], whose leading term
+    clears rem[i + deg den].
     """
     if not den:
         raise DivisionByZero("polynomial division by zero")

@@ -456,8 +456,12 @@ def test_factor_is_repeatable():
 
 # -- kernel properties against a FieldElement reference ----------------------
 
-# prime, binary and odd extension fields; 243 = 3^5 adds through Zech tables
-KERNEL_FIELDS = (2, 3, 4, 9, 243, 257, 4096, 65521)
+# every kernel family: native ints (2, 3, 257, 65521), exp/log tables in
+# characteristic 2 (4, 256, 4096, 65536) and Zech tables (9, 243 = 3^5).
+# The reference multiplies with spec.add and spec.mul alone; its division
+# takes the leading inverse from spec.inv, which tests/test_ffield.py checks
+# against multiplication.
+KERNEL_FIELDS = (2, 3, 4, 9, 243, 256, 257, 4096, 65521, 65536)
 
 
 def ref_rem(a, b):
@@ -474,6 +478,27 @@ def ref_rem(a, b):
     return a
 
 
+def ref_mul(a, b):
+    """a * b on trimmed lists of FieldElement, by schoolbook products."""
+    if not a or not b:
+        return []
+    out = [a[0].spec.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def ref_powmod(g, e, f):
+    """g^e mod f, right to left from the lowest bit of e."""
+    out, g = ref_rem([f[0].spec.one], f), ref_rem(g, f)
+    while e:
+        if e & 1:
+            out = ref_rem(ref_mul(out, g), f)
+        g, e = ref_rem(ref_mul(g, g), f), e >> 1
+    return out
+
+
 def ref_gcd(a, b):
     a, b = list(a), list(b)
     while b:
@@ -484,7 +509,8 @@ def ref_gcd(a, b):
 
 def kernel_operands(q, count=40):
     """Seeded (num, den) pairs: den often non-monic, sometimes constant,
-    num sometimes shorter than den and every eighth num zero."""
+    num sometimes shorter than den and every eighth num zero; a last pair
+    has degrees 40 and 20."""
     spec = field_from_order(q)
     rng = random.Random(RNG_SEED * 7919 + q)
     pairs = []
@@ -492,7 +518,21 @@ def kernel_operands(q, count=40):
         den = random_poly(rng, spec, 6)
         num = Poly.zero(spec) if i % 8 == 0 else random_poly(rng, spec, 12)
         pairs.append((num, den))
+    num, den = ([rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+                for d in (40, 20))
+    pairs.append((Poly(spec, num), Poly(spec, den)))
     return spec, rng, pairs
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_product_kernels_equal_field_element_products(q):
+    spec, _, pairs = kernel_operands(q)
+    for num, den in pairs:
+        expected = Poly(spec, ref_mul(num.coeffs, den.coeffs)).cv
+        assert tuple(fpoly_kernels._mul_cv(spec, num.cv, den.cv)) == expected
+        for a in (num, den):
+            expected = Poly(spec, ref_mul(a.coeffs, a.coeffs)).cv
+            assert tuple(fpoly_kernels._sqr_cv(spec, a.cv)) == expected, str(a)
 
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
@@ -535,7 +575,11 @@ def test_powmod_equals_repeated_multiplication(q):
             acc = Poly.one(spec)
             for e in range(10):
                 assert poly_powmod(base, e, f) == acc, (str(base), e, str(f))
-                acc = Poly(spec, ref_rem((acc * base).coeffs, f.coeffs))
+                acc = Poly(spec, ref_rem(ref_mul(acc.coeffs, base.coeffs), f.coeffs))
+        # the Frobenius exponent and half the order of F_{q^2}^*
+        for e in (q, (q * q - 1) // 2):
+            expected = Poly(spec, ref_powmod(g.coeffs, e, f.coeffs))
+            assert poly_powmod(g, e, f) == expected, (str(g), e, str(f))
 
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
@@ -551,114 +595,13 @@ def test_factor_expands_back(q):
         assert all(p.is_monic() and p.degree >= 1 for p, _ in fac.factors)
 
 
-# -- each kernel family against a schoolbook on spec.add and spec.mul ---------
-
-# one field per kernel family and size: native ints (2, 3, 257, 65521),
-# exp/log tables in characteristic 2 (4, 256, 65536) and Zech tables (9)
-FAMILY_FIELDS = (2, 3, 4, 9, 256, 257, 65521, 65536)
-
-
-class Schoolbook:
-    """Polynomial arithmetic over a field from ``spec.add`` and ``spec.mul``
-    alone: -1 is found by search and an inverse is c^(q - 2)."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.minus_one = next(c for c in range(spec.q) if spec.add(c, 1) == 0)
-
-    def trim(self, c):
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def add(self, a, b):
-        a, b = list(a), list(b)
-        a += [0] * (len(b) - len(a))
-        for i, bi in enumerate(b):
-            a[i] = self.spec.add(a[i], bi)
-        return self.trim(a)
-
-    def mul(self, a, b):
-        out = [0] * max(len(a) + len(b) - 1, 0)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = self.spec.add(out[i + j], self.spec.mul(ai, bj))
-        return self.trim(out)
-
-    def inverse(self, c):
-        out, e = 1, self.spec.q - 2
-        while e:
-            if e & 1:
-                out = self.spec.mul(out, c)
-            c, e = self.spec.mul(c, c), e >> 1
-        return out
-
-    def rem(self, a, b):
-        a = self.trim(a)
-        scale = self.spec.mul(self.minus_one, self.inverse(b[-1]))
-        while len(a) >= len(b):
-            c = self.spec.mul(a[-1], scale)
-            a = self.add(a, [0] * (len(a) - len(b)) + self.mul([c], b))
-        return a
-
-    def powmod(self, g, e, f):
-        out, g = [1], self.rem(g, f)
-        while e:
-            if e & 1:
-                out = self.rem(self.mul(out, g), f)
-            g, e = self.rem(self.mul(g, g), f), e >> 1
-        return self.rem(out, f)
-
-
-def family_operands(q, count, max_degree):
-    """Seeded pairs of nonzero cv of degree <= max_degree, the second
-    sometimes non-monic, plus x and a sparse pair."""
-    spec = field_from_order(q)
-    rng = random.Random(RNG_SEED * 31 + q)
-    pairs = [(random_poly(rng, spec, max_degree).cv, random_poly(rng, spec, max_degree).cv)
-             for _ in range(count)]
-    pairs.append(((0, 1), (q - 1,) + (0,) * (max_degree - 1) + (1,)))
-    return spec, Schoolbook(spec), pairs
-
-
-@pytest.mark.parametrize("q", FAMILY_FIELDS)
-def test_product_kernels_match_the_schoolbook(q):
-    spec, school, pairs = family_operands(q, 12, 40)
-    for a, b in pairs + [((), b) for _, b in pairs[:1]]:
-        expected = school.mul(a, b)
-        assert list(fpoly_kernels._mul_cv(spec, a, b)) == expected, (a, b)
-        assert list(fpoly_kernels._sqr_cv(spec, a)) == school.mul(a, a), a
-
-
-@pytest.mark.parametrize("q", FAMILY_FIELDS)
-def test_divmod_kernel_rebuilds_its_dividend(q):
-    spec, school, pairs = family_operands(q, 12, 40)
-    for a, b in pairs:
-        for num in (school.mul(a, b), list(a) + list(b)):
-            quo, rem = fpoly_kernels._divmod_cv(spec, tuple(num), b)
-            assert len(rem) < len(b)
-            assert school.add(school.mul(quo, b), rem) == num, (num, b)
-
-
-@pytest.mark.parametrize("q", FAMILY_FIELDS)
-def test_powmod_kernel_matches_the_schoolbook(q):
-    spec, school, pairs = family_operands(q, 3, 20)
-    for g, f in pairs:
-        if len(f) < 2:
-            continue
-        for e in (0, 1, q, (q * q - 1) // 2):
-            got = fpoly_kernels._powmod_cv(spec, g, e, f)
-            assert list(got) == school.powmod(g, e, f), (g, e, f)
-
-
 @pytest.mark.parametrize("q,products", [(2, 0), (4, 0), (256, 0), (65521, 12)])
 def test_frobenius_step_squares_and_multiplies_by_x(q, products, monkeypatch):
     """x^q mod f runs from the leading bit of q with x as the base: q = 2^k
     takes k squarings and no product, and any other q one product by x
     per further set bit (65521 has 13)."""
     spec = field_from_order(q)
-    f = Poly(spec, [1, 1] + [0] * 18 + [1]).cv
+    x, f = Poly(spec, [0, 1]), Poly(spec, [1, 1] + [0] * 18 + [1])
     calls = []
     mul = fpoly_kernels._mul_cv
 
@@ -667,10 +610,10 @@ def test_frobenius_step_squares_and_multiplies_by_x(q, products, monkeypatch):
         return mul(spec, a, b)
 
     monkeypatch.setattr(fpoly_kernels, "_mul_cv", counted)
-    h = fpoly_kernels._powmod_cv(spec, (0, 1), q, f)
+    h = fpoly_kernels._powmod_cv(spec, x.cv, q, f.cv)
     assert products == bin(q).count("1") - 1 == len(calls)
     assert all(b == [0, 1] for b in calls)
-    assert list(h) == Schoolbook(spec).powmod([0, 1], q, f)
+    assert h == Poly(spec, ref_powmod(x.coeffs, q, f.coeffs)).cv
 
 
 # -- enumeration --------------------------------------------------------------
