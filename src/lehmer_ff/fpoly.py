@@ -19,13 +19,18 @@ field of characteristic 2 with k > 1 reads the exp/log tables of its
 ``FieldSpec`` directly, where log(0) is a sentinel whose sum with any
 logarithm indexes a zero, so zero coefficients need no branch; an odd
 extension field calls ``spec.add`` and ``spec.mul`` (Zech tables).  A
-square in characteristic 2 is the squared coefficients at even
-positions; over F_p ``_sqr_cv`` takes each cross product once and
-doubles it, and an odd extension field squares with ``_mul_cv``.
-``_powmod_cv`` runs left to right from the leading bit of
-the exponent, squaring with ``_sqr_cv`` and multiplying by the reduced
-base alone, so a Frobenius step x^q mod f takes squarings and products
-by x only.
+square over F_{2^k} is the squared coefficients at even positions; over
+F_p ``_sqr_cv`` takes each cross product once and doubles it, and an
+odd extension field squares with ``_mul_cv``.  ``_powmod_cv`` runs left
+to right from the leading bit of the exponent, squaring with
+``_sqr_cv`` and multiplying by the reduced base alone, so a Frobenius
+step x^q mod f takes squarings and products by x only.
+
+F_2 has its own kernel family on int codes, in ``f2poly``:
+``_powmod_cv``, ``_gcd_cv``, the walk ``_degree_groups`` and the trace
+map of ``_split_equal_degree`` run on codes over F_2, converting once
+on entry and once on exit; products, long division and ``Poly`` keep
+coefficient tuples.
 
 One distinct-degree walk, ``_degree_groups``, is the package's only
 Frobenius loop: through x^(q^i) mod f and gcd it yields, lazily and by
@@ -66,6 +71,7 @@ from .errors import (
     UndefinedGcd,
 )
 from .ffield import FieldElement, FieldSpec, field_make
+from .f2poly import _f2_code, _f2_cv, _f2_divmod, _f2_gcd, _f2_powmod, _f2_rem, _f2_sqr
 from .intmath import decimal_str, mobius_divisors
 
 NEG_INF = float("-inf")
@@ -128,18 +134,18 @@ def _mul_cv(spec: FieldSpec, a, b) -> list:
 
 
 def _sqr_cv(spec: FieldSpec, a) -> list:
-    """``_mul_cv(spec, a, a)``.  In characteristic 2 the cross terms cancel,
-    so the square is the squared coefficients at even positions; over F_p
-    each cross product is taken once and doubled; an odd extension field
-    takes the product loop."""
+    """``_mul_cv(spec, a, a)``.  Over F_{2^k} with k > 1 the cross terms
+    cancel, so the square is the squared coefficients at even positions;
+    over F_p each cross product is taken once and doubled; an odd extension
+    field takes the product loop."""
     if spec.k > 1 and spec.p != 2:
         return _mul_cv(spec, a, a)
     if not a:
         return []
     out = [0] * (2 * len(a) - 1)
-    if spec.p == 2:
-        exp, log = spec.exp, spec.log  # c^2 = c in F_2, which has no tables
-        out[::2] = a if spec.k == 1 else [exp[2 * log[c]] for c in a]
+    if spec.k > 1:
+        exp, log = spec.exp, spec.log
+        out[::2] = [exp[2 * log[c]] for c in a]
     else:
         p = spec.p
         for i, ai in enumerate(a):
@@ -226,6 +232,8 @@ def _monic_cv(spec: FieldSpec, cv):
 
 
 def _gcd_cv(spec: FieldSpec, a, b):
+    if spec.q == 2:
+        return _f2_cv(_f2_gcd(_f2_code(a), _f2_code(b)))
     a, b = list(a), list(b)
     while b:
         if len(b) == 1:
@@ -238,6 +246,8 @@ def _powmod_cv(spec: FieldSpec, g, e: int, f):
     """g^e mod f, left to right from the leading bit of e: the power starts
     at the reduced base, so every multiplication is by the base (x itself
     in a first Frobenius step), and q = 2^k takes squarings alone."""
+    if spec.q == 2:
+        return _f2_cv(_f2_powmod(_f2_code(g), e, _f2_code(f)))
     if not e:
         return (1,)
     g = _reduce_cv(spec, list(g), f)
@@ -604,8 +614,25 @@ def _degree_groups(spec: FieldSpec, cv) -> Iterator[tuple[int, int, tuple]]:
     again, so g over it is the group of multiplicity 1; repeat with that
     gcd as g.  h is reduced modulo the shrunken work by the next
     ``_powmod_cv``, which reduces its base first.  What is left once
-    deg work < 2i has no two factors, so it is irreducible.
+    deg work < 2i has no two factors, so it is irreducible.  Over F_2 the
+    same walk runs on codes, with x = 2.
     """
+    if spec.q == 2:
+        work, h, i = _f2_code(cv), 2, 1
+        while work.bit_length() > 2 * i:
+            h = _f2_powmod(h, 2, work)
+            g = _f2_gcd(work, h ^ 2)
+            m = 1
+            while g > 1:
+                work = _f2_divmod(work, g)[0]
+                again = _f2_gcd(work, g)
+                if again != g:
+                    yield i, m, _f2_cv(g if again == 1 else _f2_divmod(g, again)[0])
+                g, m = again, m + 1
+            i += 1
+        if work > 1:
+            yield work.bit_length() - 1, 1, _f2_cv(work)
+        return
     work = _monic_cv(spec, cv)
     x = (0, 1)
     h = x
@@ -642,7 +669,14 @@ def _split_equal_degree(spec: FieldSpec, g, d: int, rng) -> list:
         a = tuple(_trim([rng.randrange(q) for _ in range(n)]))
         if len(a) < 2:
             continue  # a constant maps to a constant, which never splits g
-        if spec.p == 2:
+        if q == 2:
+            t = s = _f2_code(a)
+            modulus = _f2_code(g)
+            for _ in range(d - 1):
+                t = _f2_rem(_f2_sqr(t), modulus)
+                s ^= t
+            s = _f2_cv(s)
+        elif spec.p == 2:
             t = s = a
             for _ in range(spec.k * d - 1):
                 t = _reduce_cv(spec, _sqr_cv(spec, t), g)

@@ -13,10 +13,13 @@ off the distinct-degree groups and splits none.
 monic residues that no irreducible factor of f divides, marking the
 multiples of each factor as trial division finds and divides it out,
 and multiplies by the q - 1 units that scale a residue (a unit multiple
-of g has the same gcd with f).  Its marks are int bitsets, one per
-degree, and each factor ORs in masks of its multiples from a bounded
-cache (at most 128 entries of at most ``ORACLE_CAP`` bits, 16 MiB), so
-a run over many f walks the multiples of each divisor once.
+of g has the same gcd with f).  It tries only irreducible divisors,
+listed per degree by trial division by the irreducibles of at most half
+that degree (``_trial_divisors``), so it needs no factoring and no
+sieve.  Its marks are int bitsets, one per degree, and each factor ORs
+in masks of its multiples from a bounded cache (at most 128 entries of
+at most ``ORACLE_CAP`` bits, 16 MiB), so a run over many f walks the
+multiples of each divisor once.
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
@@ -52,6 +55,7 @@ from .fpoly import (
     _least_factor_sieve,
     _monic_cv,
     _monic_multiples,
+    _reduce_cv,
     _same_field,
     factor,
     factor_bruteforce,
@@ -97,22 +101,20 @@ def totient_bruteforce(f: Poly) -> int:
     class holds exactly one monic g.  The count is therefore taken over
     the monic g of degree 0 to deg(f) - 1 and multiplied by q - 1.
 
-    gcd(f, g) = 1 iff no irreducible factor of f divides g.  The monic h
-    are tried on work = monic(f) by ascending degree while
-    2 * deg h <= deg work.  Each h that divides work has every power
-    divided out of work and marks its monic multiples of degree < deg(f)
-    by ORing its masks from :func:`_multiple_masks` into the bitset row
-    of each degree, one int with a bit per monic residue.  An h whose
-    own bit is set is a multiple of a factor already divided out, so it
-    cannot divide work and is skipped; an unmarked h that divides work
-    is thus irreducible.  What is left of work, if of degree >= 1, has
-    no factor of at most half its degree, so it is irreducible too and
-    marks its multiples when its degree is below deg(f).  The clear bits
-    are the coprime monic g.  The masks stay cached, so a run over many
-    f walks the multiples of each divisor once.  Uses no factorization
-    and no least-factor sieve.  Exponential by design; the independent
-    oracle for :func:`totient`.  Raises OracleOverflow when q^deg(f)
-    exceeds ``ORACLE_CAP``.
+    gcd(f, g) = 1 iff no irreducible factor of f divides g.  The monic
+    irreducibles h of :func:`_trial_divisors` are tried on work = monic(f)
+    by ascending degree while 2 * deg h <= deg work.  Each h that divides
+    work has every power divided out of work and marks its monic
+    multiples of degree < deg(f) by ORing its masks from
+    :func:`_multiple_masks` into the bitset row of each degree, one int
+    with a bit per monic residue.  What is left of work, if of degree
+    >= 1, has no factor of at most half its degree, so it is irreducible
+    too and marks its multiples when its degree is below deg(f).  The
+    clear bits are the coprime monic g.  The masks stay cached, so a run
+    over many f walks the multiples of each divisor once.  Uses no
+    factorization and no least-factor sieve.  Exponential by design; the
+    independent oracle for :func:`totient`.  Raises OracleOverflow when
+    q^deg(f) exceeds ``ORACLE_CAP``.
     """
     spec = _totient_field(f)
     n = len(f.cv) - 1
@@ -128,11 +130,7 @@ def totient_bruteforce(f: Poly) -> int:
     work = _monic_cv(spec, f.cv)
     d = 1
     while 2 * d < len(work):
-        size = q**d
-        for s in range(size):
-            if rows[d] >> (size - 1 - s) & 1:  # bit order of `_multiple_masks`
-                continue
-            h = _decode_cv(q, size + s)
+        for h in _trial_divisors(spec, d):
             quo, rem = _divmod_cv(spec, work, h)
             if rem:
                 continue
@@ -146,6 +144,29 @@ def totient_bruteforce(f: Poly) -> int:
     if 1 < len(work) <= n:
         mark(work)
     return sum(q**e - row.bit_count() for e, row in enumerate(rows)) * (q - 1)
+
+
+# An entry lists the irreducibles of a degree d with q^(2d) <= ORACLE_CAP,
+# so at most 2^10 of them.  One `verify --suite oracle` run reads 7 keys.
+@lru_cache(maxsize=64)
+def _trial_divisors(spec: FieldSpec, d: int) -> tuple[tuple, ...]:
+    """The monic irreducibles of degree d, in encoding order: the monic h
+    of degree d that no irreducible of degree at most d / 2 divides.  Past
+    degree 1 the h with h(0) = 0, which x divides, are left out with no
+    division."""
+    q = spec.q
+    if d == 1:
+        return tuple((c, 1) for c in range(q))
+    small = [p for e in range(1, d // 2 + 1) for p in _trial_divisors(spec, e)][1:]  # not x
+    found = []
+    for low in product(*[range(q)] * (d - 1), range(1, q)):
+        h = (*reversed(low), 1)
+        for p in small:
+            if not _reduce_cv(spec, list(h), p):
+                break
+        else:
+            found.append(h)
+    return tuple(found)
 
 
 # An entry holds one bit per monic polynomial of degree below some n with

@@ -264,3 +264,86 @@ def unit_invariance_violations(spec: FieldSpec, max_degree: int = 3) -> list[str
                 if in_l_u != in_l or report_u.phi != report.phi:
                     bad.append(f"{f} vs unit multiple {g}")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# F_2[x] on int codes (bit i is the coefficient of x^i), with no kernel of
+# the package: an oracle that needs no factoring and reaches degree 1000s.
+# tests/test_imports.py checks that the f2_* functions read no package name.
+
+
+def f2_code(f) -> int:
+    """The code of a polynomial over F_2, read off its coefficient tuple."""
+    return sum(c << i for i, c in enumerate(f.cv))
+
+
+def f2_mul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def f2_rem(a: int, f: int) -> int:
+    while a.bit_length() >= f.bit_length():
+        a ^= f << (a.bit_length() - f.bit_length())
+    return a
+
+
+def f2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, f2_rem(a, b)
+    return a
+
+
+def f2_derivative(a: int) -> int:
+    """Over F_2 the derivative keeps the odd powers, each one degree lower."""
+    return sum(1 << (i - 1) for i in range(1, a.bit_length(), 2) if a >> i & 1)
+
+
+def f2_rank_count(f: int) -> int:
+    """Berlekamp's count: the number of distinct irreducible factors of f,
+    deg f >= 1, is deg f - rank(Q - I), where row i of Q is x^(2i) mod f.
+
+    The g mod f with g^2 = g mod f form an F_2-space of dimension that
+    count, for every f, repeated factors included.  The rows are reduced
+    into an xor basis keyed by leading bit."""
+    n = f.bit_length() - 1
+    basis = {}
+    row = 1
+    for i in range(n):
+        v = row ^ 1 << i
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+        row = f2_rem(row << 2, f)
+    return n - len(basis)
+
+
+def f2_factorization_violations(f: int, factors: list[tuple[int, int]]) -> list[str]:
+    """Why ``factors``, pairs (code, multiplicity), is not the factorization
+    of the code f into distinct irreducibles; empty when it is.  The
+    factors must multiply back to f and be distinct, each must have one
+    distinct irreducible factor (rank count 1) and be squarefree (gcd with
+    its derivative 1, so a zero derivative fails): together that makes it
+    irreducible."""
+    bad = []
+    product = 1
+    for g, m in factors:
+        for _ in range(m):
+            product = f2_mul(product, g)
+    if product != f:
+        bad.append("the factors do not multiply back to f")
+    if len({g for g, _ in factors}) < len(factors):
+        bad.append("a factor is listed twice")
+    for g, m in factors:
+        if g < 2 or m < 1:
+            bad.append(f"{g:b}^{m}: not a nonconstant factor")
+        elif f2_rank_count(g) != 1:
+            bad.append(f"{g:b}: more than one distinct irreducible factor")
+        elif f2_gcd(g, f2_derivative(g)) != 1:
+            bad.append(f"{g:b}: not squarefree")
+    return bad

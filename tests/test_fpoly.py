@@ -33,9 +33,17 @@ from lehmer_ff import (
     totient_report,
     zsigmondy,
 )
+import lehmer_ff.f2poly as f2_kernels
 import lehmer_ff.fpoly as fpoly_kernels
 from lehmer_ff.fpoly import DEGREE_CAP
-from properties import all_polys
+from properties import (
+    all_polys,
+    f2_code,
+    f2_factorization_violations,
+    f2_mul,
+    f2_rank_count,
+    f2_rem,
+)
 
 RNG_SEED = 20260810
 
@@ -335,19 +343,20 @@ def test_is_irreducible_equals_sieve_membership():
 def test_is_irreducible_stops_at_the_first_factor(q, g, monkeypatch):
     """x * g has the factor x of degree 1, so the test makes one Frobenius
     step x^q mod f and stops there; a walk consumed to its end would make
-    deg g / 2 + 1 of them."""
+    deg g / 2 + 1 of them.  Over F_2 the step is the powmod on codes."""
     spec = field_from_order(q)
     g = P(spec, g)
     assert is_irreducible(g)
     fpoly_module = importlib.import_module("lehmer_ff.fpoly")
     calls = []
-    powmod = fpoly_module._powmod_cv
+    name = "_f2_powmod" if q == 2 else "_powmod_cv"
+    powmod = getattr(fpoly_module, name)
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[-2])  # the exponent, in both signatures
         return powmod(*args)
 
-    monkeypatch.setattr(fpoly_module, "_powmod_cv", counted)
+    monkeypatch.setattr(fpoly_module, name, counted)
     assert not is_irreducible(P(spec, "x") * g)
     assert calls == [q]
 
@@ -507,6 +516,17 @@ def ref_gcd(a, b):
     return [c * lead_inv for c in a]
 
 
+def long_f2_operands():
+    """Two seeded F_2 pairs (g, f) of degree 200-500: codes of several
+    machine words, and reductions of hundreds of steps."""
+    spec = field_from_order(2)
+    rng = random.Random(RNG_SEED * 7919 + 500)
+    return [
+        tuple(Poly(spec, [rng.randrange(2) for _ in range(d)] + [1]) for d in degrees)
+        for degrees in ((rng.randrange(300, 500), rng.randrange(200, 300)) for _ in range(2))
+    ]
+
+
 def kernel_operands(q, count=40):
     """Seeded (num, den) pairs: den often non-monic, sometimes constant,
     num sometimes shorter than den and every eighth num zero; a last pair
@@ -563,6 +583,11 @@ def test_gcd_equals_field_element_euclid(q):
                 continue
             expected = Poly(spec, ref_gcd(f.coeffs, g.coeffs))
             assert poly_gcd(f, g) == expected, (str(f), str(g))
+    if q == 2:
+        for g, f in long_f2_operands():
+            common = random_poly(rng, spec, 40)
+            for a, b in ((g, f), (f * common, g * common)):
+                assert poly_gcd(a, b) == Poly(spec, ref_gcd(a.coeffs, b.coeffs))
 
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
@@ -580,6 +605,15 @@ def test_powmod_equals_repeated_multiplication(q):
         for e in (q, (q * q - 1) // 2):
             expected = Poly(spec, ref_powmod(g.coeffs, e, f.coeffs))
             assert poly_powmod(g, e, f) == expected, (str(g), e, str(f))
+    if q == 2:
+        # the products by g run on the coefficient kernels, which the
+        # tests above hold to the FieldElement reference
+        for g, f in long_f2_operands():
+            acc = Poly.one(spec)
+            for e in range(8):
+                assert poly_powmod(g, e, f) == acc, e
+                acc = acc * g % f
+            assert poly_powmod(g, 2, f) == Poly(spec, ref_powmod(g.coeffs, 2, f.coeffs))
 
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
@@ -593,27 +627,119 @@ def test_factor_expands_back(q):
         fac = factor(f)
         assert fac.expand() == f, str(f)
         assert all(p.is_monic() and p.degree >= 1 for p, _ in fac.factors)
+    if q == 2:
+        # degree 200-500 with a repeated factor; certified by rank counts
+        for g, h in long_f2_operands():
+            f = g * h * h
+            fac = factor(f)
+            assert fac.expand() == f
+            claimed = [(f2_code(p), m) for p, m in fac.factors]
+            assert f2_factorization_violations(f2_code(f), claimed) == []
 
 
 @pytest.mark.parametrize("q,products", [(2, 0), (4, 0), (256, 0), (65521, 12)])
 def test_frobenius_step_squares_and_multiplies_by_x(q, products, monkeypatch):
     """x^q mod f runs from the leading bit of q with x as the base: q = 2^k
-    takes k squarings and no product, and any other q one product by x
-    per further set bit (65521 has 13)."""
+    takes k squarings and no product (over F_2 on codes too), and any
+    other q one product by x per further set bit (65521 has 13)."""
     spec = field_from_order(q)
     x, f = Poly(spec, [0, 1]), Poly(spec, [1, 1] + [0] * 18 + [1])
     calls = []
-    mul = fpoly_kernels._mul_cv
+    for module, name in ((fpoly_kernels, "_mul_cv"), (f2_kernels, "_f2_mul")):
+        def counted(*args, mul=getattr(module, name)):
+            calls.append(args[-1])
+            return mul(*args)
 
-    def counted(spec, a, b):
-        calls.append(b)
-        return mul(spec, a, b)
-
-    monkeypatch.setattr(fpoly_kernels, "_mul_cv", counted)
+        monkeypatch.setattr(module, name, counted)
     h = fpoly_kernels._powmod_cv(spec, x.cv, q, f.cv)
     assert products == bin(q).count("1") - 1 == len(calls)
     assert all(b == [0, 1] for b in calls)
     assert h == Poly(spec, ref_powmod(x.coeffs, q, f.coeffs)).cv
+
+
+# -- F_2 at high degree: oracles that do not factor ------------------------
+
+
+def swan_even(n: int, k: int) -> bool:
+    """Swan's rule: whether x^n + x^k + 1 over F_2, with n > k > 0 and
+    exactly one of n, k odd (so squarefree), has an even number of
+    irreducible factors (R. G. Swan, Pacific J. Math. 12, 1962)."""
+    if n % 2 == 0:
+        return n != 2 * k and n * k // 2 % 4 in (0, 1)
+    if 2 * n % k:
+        return n % 8 in (3, 5)
+    return n % 8 in (1, 7)
+
+
+SWAN_MAX_DEGREE = 90
+
+
+def test_swan_parity_on_every_squarefree_trinomial():
+    """Every trinomial x^n + x^k + 1 with n <= SWAN_MAX_DEGREE but those
+    with n and k even, which are squares; for n and k odd the rule reads
+    the reciprocal x^n + x^(n-k) + 1, which has as many factors.  The
+    rank count is checked on each as well."""
+    spec = field_from_order(2)
+    checked = 0
+    for n in range(2, SWAN_MAX_DEGREE + 1):
+        for k in range(1, n):
+            if n % 2 == k % 2 == 0:
+                continue
+            f = P(spec, f"x^{n}+x^{k}+1")
+            count = factor(f).distinct_count
+            assert (count % 2 == 0) == swan_even(n, n - k if k % 2 else k), str(f)
+            assert f2_rank_count(f2_code(f)) == count, str(f)
+            checked += 1
+    assert checked == 3015
+
+
+def test_rank_count_equals_the_distinct_factor_count(f2):
+    for n in range(1, 11):
+        for f in enumerate_polys(f2, n):
+            assert f2_rank_count(f2_code(f)) == factor_bruteforce(f).distinct_count, str(f)
+
+
+def test_factor_is_certified_at_degree_1000(f2):
+    f = P(f2, "x^1000+x^3+1")
+    claimed = [(f2_code(p), m) for p, m in factor(f).factors]
+    assert len(claimed) == 12
+    code = f2_code(f)
+    assert f2_factorization_violations(code, claimed) == []
+    assert f2_factorization_violations(code, claimed[1:]) != []  # a factor dropped
+    (g, _), (h, _) = claimed[:2]
+    # g * h has two irreducible factors, g^2 one that is not squarefree
+    assert f2_factorization_violations(code, [(f2_mul(g, h), 1)] + claimed[2:]) != []
+    square = [(f2_mul(g, g), 1), (h, 2)]
+    assert f2_factorization_violations(f2_mul(square[0][0], f2_mul(h, h)), square) != []
+
+
+def test_f2_trace_map_lands_in_f2(f2, monkeypatch):
+    """Cantor-Zassenhaus splits a group of degree-d factors with the trace
+    a + a^2 + ... + a^(2^(d-1)), which is 0 or 1 modulo each factor, so
+    s^2 = s mod g for every s it takes a gcd with."""
+    splits = []
+    gcd = fpoly_kernels._gcd_cv
+
+    def recorded(spec, g, s):
+        splits.append((f2_code(Poly._raw(spec, g)), f2_code(Poly._raw(spec, s))))
+        return gcd(spec, g, s)
+
+    monkeypatch.setattr(fpoly_kernels, "_gcd_cv", recorded)
+    rng = random.Random(RNG_SEED)
+    for d in (4, 8, 13):  # F_2 has 3 irreducibles of degree 4
+        pool = set()
+        while len(pool) < 3:
+            f = Poly(f2, [rng.randrange(2) for _ in range(d)] + [1])
+            if is_irreducible(f):
+                pool.add(f)
+        splits.clear()
+        product = Poly.one(f2)
+        for f in pool:
+            product = product * f
+        assert {p for p, _ in factor(product).factors} == pool
+        assert splits
+        for g, s in splits:
+            assert f2_rem(f2_mul(s, s) ^ s, g) == 0, d
 
 
 # -- enumeration --------------------------------------------------------------

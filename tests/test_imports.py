@@ -1,9 +1,10 @@
 """Every name a package module imports is read somewhere in that module,
 every name the package exports is read outside its own module, every
 module constant is read by the package or the benchmark, every cache is
-bounded, one function takes Frobenius steps, only the CLI's renderer
-writes to stdout, and importing the CLI loads no standard module that
-start-up does not need."""
+bounded, one function takes Frobenius steps, the F_2 reference of the
+tests reads no package name, only the CLI's renderer writes to stdout,
+and importing the CLI loads no standard module that start-up does not
+need."""
 
 import ast
 import json
@@ -217,14 +218,23 @@ def test_every_cache_is_bounded(path):
 FROBENIUS_WALK = "fpoly._degree_groups"
 
 
+# each powmod kernel: the position of its exponent and the exponent q
+FROBENIUS_STEPS = {"_powmod_cv": (2, "spec.q"), "_f2_powmod": (1, "2")}
+
+
 def _is_frobenius_step(node) -> bool:
-    """A call ``_powmod_cv(spec, g, spec.q, f)``: g^q mod f."""
+    """A call ``_powmod_cv(spec, g, spec.q, f)``, g^q mod f, or the same
+    step on F_2 codes, ``_f2_powmod(g, 2, f)``."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-    exponent = node.args[2:3] + [k.value for k in node.keywords if k.arg == "e"]
-    return name == "_powmod_cv" and [ast.unparse(e) for e in exponent] == ["spec.q"]
+    if name not in FROBENIUS_STEPS:
+        return False
+    position, q = FROBENIUS_STEPS[name]
+    exponent = node.args[position : position + 1]
+    exponent += [k.value for k in node.keywords if k.arg == "e"]
+    return [ast.unparse(e) for e in exponent] == [q]
 
 
 def frobenius_callers(source: str) -> list[str]:
@@ -252,8 +262,10 @@ def test_frobenius_step_is_found():
         "    def inner():\n"
         "        return fpoly._powmod_cv(spec, h, e=spec.q, f=f)\n"
         "    return _powmod_cv(spec, h, spec.q - 1, f), _powmod_cv(spec, h, 2, f)\n"
+        "def on_codes(h, f):\n"
+        "    return _f2_powmod(h, 2, f), fpoly._f2_powmod(h, e=2, f=f), _f2_powmod(h, 3, f)\n"
     )
-    assert frobenius_callers(source) == ["walk", "inner"]
+    assert frobenius_callers(source) == ["walk", "inner", "on_codes", "on_codes"]
 
 
 def test_one_function_takes_frobenius_steps():
@@ -262,7 +274,63 @@ def test_one_function_takes_frobenius_steps():
         for path in sorted(PACKAGE.glob("*.py"))
         for name in frobenius_callers(path.read_text())
     ]
-    assert found == [FROBENIUS_WALK]
+    # one step on F_2 codes, one on coefficient tuples
+    assert found == [FROBENIUS_WALK] * 2
+
+
+# -- the F_2 reference shares no code with the package -------------------------
+
+PROPERTIES = ROOT / "tests" / "properties.py"
+F2_REFERENCE = "f2_"
+
+
+def package_reads(source: str, prefix: str, package: set[str]) -> list[str]:
+    """``function: name`` for each name of ``package``, and each top-level
+    function not named ``prefix*``, that a top-level function of a source
+    named ``prefix*`` reads as a name or an attribute."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name, function in functions.items():
+        if not name.startswith(prefix):
+            continue
+        for node in ast.walk(function):
+            read = getattr(node, "id", None) or getattr(node, "attr", None)
+            if read in package or (read in functions and not read.startswith(prefix)):
+                found.append(f"{name}: {read}")
+    return found
+
+
+def test_package_read_is_found():
+    source = (
+        "from pkg import kernel\n"
+        "def helper(a): return kernel(a)\n"
+        "def f2_ok(a): return f2_other(a) + len(a.cv)\n"
+        "def f2_other(a): return a\n"
+        "def f2_bad(a): return kernel(a) + pkg._rem(a) + helper(a)\n"
+    )
+    assert sorted(package_reads(source, F2_REFERENCE, {"kernel", "_rem"})) == [
+        "f2_bad: _rem", "f2_bad: helper", "f2_bad: kernel",
+    ]
+
+
+def test_f2_reference_reads_no_package_name():
+    """The rank count and its certificate in tests/properties.py read no
+    name that ``fpoly`` or ``f2poly`` defines and none the module imports
+    from the package, so that no kernel of ``factor`` runs inside its own
+    oracle."""
+    package = {
+        node.name
+        for module in ("fpoly.py", "f2poly.py")
+        for node in ast.parse((PACKAGE / module).read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    source = PROPERTIES.read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("lehmer_ff"):
+            package.update(a.asname or a.name for a in node.names)
+    assert {"_f2_rem", "_reduce_cv", "_powmod_cv", "Poly"} <= package
+    assert package_reads(source, F2_REFERENCE, package) == []
 
 
 # -- the output boundary -------------------------------------------------------

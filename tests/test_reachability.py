@@ -24,6 +24,8 @@ CALLS = [
     (0, "totient", "x^4+x", "--q", "2"),
     (0, "totient", "(t+1)*x^2+t*x+1", "--q", "4", "--format", "json"),
     (0, "totient", "x^2+1", "--q", "9", "--format", "csv"),
+    # the generator search of F_256 multiplies in its powers over F_2
+    (0, "totient", "x^3+t", "--q", "256"),
     (0, "lehmer", "--q", "3", "--max-degree", "4", "--expand-units", "--format", "csv"),
     (0, "cyclotomic", "--n", "12", "--eval", "2"),
     (0, "cyclotomic", "--n", "30", "--format", "json"),

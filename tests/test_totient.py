@@ -17,6 +17,7 @@ from lehmer_ff import (
     field_from_order,
     field_make,
     irreducible_count,
+    irreducibles,
     is_irreducible,
     lehmer_set,
     lehmer_set_bruteforce,
@@ -258,6 +259,16 @@ def test_bruteforce_needs_no_factoring(monkeypatch):
     monkeypatch.setattr(fpoly_module, "_factor_cv", refuse)
     for f, phi in expected:
         assert totient_bruteforce(f) == phi, str(f)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (4, 5), (9, 3)])
+def test_trial_divisors_are_the_irreducibles(q, max_deg):
+    """The oracle's trial-division list against the sieve, which the
+    oracle itself never reads."""
+    spec = field_from_order(q)
+    for d in range(1, max_deg + 1):
+        expected = [p.cv for p in irreducibles(spec, d)]
+        assert list(totient_module._trial_divisors(spec, d)) == expected, d
 
 
 def recorded_walks(monkeypatch) -> list:
