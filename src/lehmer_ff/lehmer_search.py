@@ -31,12 +31,15 @@ below, and an enclosure that contains 0 raises VerificationError.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInput, VerificationError
 from .intmath import divisors, euler_phi, sigma
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # decimal digits that fix the scale 2^B of every enclosure; each is then
 # about 10^-32 wide, far inside the smallest |margin| (0.0167, coarse at
@@ -172,13 +175,16 @@ def c_factor(n: int) -> Fraction:
     if n < 2:
         raise InvalidInput("c_factor needs n >= 2")
     v = (n & -n).bit_length() - 1
-    if v == 1:
-        return Fraction(59, 100)
-    if v == 2:
-        return Fraction(70, 100)
-    if v == 3:
-        return Fraction(84, 100)
-    return Fraction(1)
+    return _c_values()[v if v <= 3 else 0]
+
+
+@lru_cache(maxsize=1)
+def _c_values() -> tuple[Fraction, ...]:
+    """c at 2-adic valuation 0 (and above 3), 1, 2 and 3, built on first
+    use so that loading the package does not import ``fractions``."""
+    from fractions import Fraction
+
+    return Fraction(1), Fraction(59, 100), Fraction(70, 100), Fraction(84, 100)
 
 
 def _atanh_enclosure(a: int, b: int, bits: int) -> tuple[int, int]:

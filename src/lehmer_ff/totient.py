@@ -19,7 +19,14 @@ that degree (``_trial_divisors``), so it needs no factoring and no
 sieve.  Its marks are int bitsets, one per degree, and each factor ORs
 in masks of its multiples from a bounded cache (at most 128 entries of
 at most ``ORACLE_CAP`` bits, 16 MiB), so a run over many f walks the
-multiples of each divisor once.
+multiples of each divisor once.  ``_bruteforce_degree`` makes the same
+count for every monic f of one degree n at once, with no division: a
+sieve of Eratosthenes over F_q[x] finds the irreducibles below degree n
+as the monic polynomials no lower irreducible marks, and each walks its
+multiples up to degree n once, naming the f it divides and marking
+their residues.  It serves the oracle suite; ``totient_bruteforce``
+serves one polynomial, for which the sieve would need every irreducible
+below its degree.
 
 ``lehmer_set`` collects every monic reducible f up to a degree bound
 whose totient divides q^deg(f) - 1.  It takes its factor-degree shapes
@@ -39,9 +46,9 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
 from math import prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidInput, OracleOverflow, VerificationError
 from .ffield import FieldSpec
@@ -107,26 +114,21 @@ def totient_bruteforce(f: Poly) -> int:
     work has every power divided out of work and marks its monic
     multiples of degree < deg(f) by ORing its masks from
     :func:`_multiple_masks` into the bitset row of each degree, one int
-    with a bit per monic residue.  What is left of work, if of degree
-    >= 1, has no factor of at most half its degree, so it is irreducible
-    too and marks its multiples when its degree is below deg(f).  The
-    clear bits are the coprime monic g.  The masks stay cached, so a run
-    over many f walks the multiples of each divisor once.  Uses no
-    factorization and no least-factor sieve.  Exponential by design; the
-    independent oracle for :func:`totient`.  Raises OracleOverflow when
-    q^deg(f) exceeds ``ORACLE_CAP``.
+    with a bit per monic residue (:func:`_coprime_count`).  What is left
+    of work, if of degree >= 1, has no factor of at most half its degree,
+    so it is irreducible too and marks its multiples when its degree is
+    below deg(f).  The clear bits are the coprime monic g.  The masks
+    stay cached, so a run over many f walks the multiples of each divisor
+    once.  Uses no factorization and no least-factor sieve.  Exponential
+    by design; the independent oracle for :func:`totient`.  Raises
+    OracleOverflow when q^deg(f) exceeds ``ORACLE_CAP``.
     """
     spec = _totient_field(f)
     n = len(f.cv) - 1
     q = spec.q
     if q**n > ORACLE_CAP:
         raise OracleOverflow(f"q^deg = {q}^{n} exceeds the oracle cap {ORACLE_CAP}")
-    rows = [0] * n
-
-    def mark(h) -> None:
-        for e, mask in enumerate(_multiple_masks(spec, h, n - 1), len(h) - 1):
-            rows[e] |= mask
-
+    divisors = []
     work = _monic_cv(spec, f.cv)
     d = 1
     while 2 * d < len(work):
@@ -137,17 +139,66 @@ def totient_bruteforce(f: Poly) -> int:
             while not rem:
                 work = quo
                 quo, rem = _divmod_cv(spec, work, h)
-            mark(h)
+            divisors.append(_multiple_masks(spec, h, n - 1))
             if 2 * d >= len(work):
                 break
         d += 1
     if 1 < len(work) <= n:
-        mark(work)
+        divisors.append(_multiple_masks(spec, work, n - 1))
+    return _coprime_count(q, n, divisors)
+
+
+def _coprime_count(q: int, n: int, divisors) -> int:
+    """(q - 1) times the monic g of degree below n that no divisor marks.
+
+    Each divisor is given by the rows of its multiples from
+    :func:`_multiple_masks`, one per degree up to n - 1; they are ORed
+    into one bitset row per degree, whose clear bits are the coprime g."""
+    rows = [0] * n
+    for masks in divisors:
+        for e, mask in enumerate(masks, n - len(masks)):
+            rows[e] |= mask
     return sum(q**e - row.bit_count() for e, row in enumerate(rows)) * (q - 1)
 
 
+def _bruteforce_degree(spec: FieldSpec, n: int) -> list[int]:
+    """:func:`totient_bruteforce` of every monic f of degree n >= 1, in
+    encoding order, by a sieve of multiples that divides nothing.
+
+    Eratosthenes over F_q[x]: for d = 1 to n - 1, the monic h of degree d
+    that no irreducible of lower degree has marked are the irreducibles
+    of degree d.  Each walks its monic multiples up to degree n once,
+    through :func:`_multiple_masks`.  Its degree-n row names the f it
+    divides, and its lower rows are the residues it marks for those f,
+    which :func:`_coprime_count` counts as for one polynomial.  Uses no
+    division, no factorization and no least-factor sieve.  Raises
+    OracleOverflow, before any walk, when q^(2n) exceeds ``ORACLE_CAP``:
+    the table has q^n entries and the masks about q^(2n-1) bits.
+    """
+    q = spec.q
+    if q ** (2 * n) > ORACLE_CAP:
+        raise OracleOverflow(f"q^(2n) = {q}^{2 * n} exceeds the oracle cap {ORACLE_CAP}")
+    marked = [0] * n  # the multiples of every irreducible found so far
+    divisors = [[] for _ in range(q**n)]
+    for d in range(1, n):
+        size = q**d
+        for s in _set_offsets(marked[d] ^ ((1 << size) - 1), size):
+            *lower, top = _multiple_masks(spec, _decode_cv(q, size + s), n)
+            for e, mask in enumerate(lower, d):
+                marked[e] |= mask
+            for t in _set_offsets(top, q**n):
+                divisors[t].append(lower)
+    return [_coprime_count(q, n, masks) for masks in divisors]
+
+
+def _set_offsets(row: int, size: int) -> Iterator[int]:
+    """The offsets s, ascending, whose bit size - 1 - s is set in row: the
+    row layout of :func:`_multiple_masks`."""
+    return compress(count(), map("1".__eq__, format(row, f"0{size}b")))
+
+
 # An entry lists the irreducibles of a degree d with q^(2d) <= ORACLE_CAP,
-# so at most 2^10 of them.  One `verify --suite oracle` run reads 7 keys.
+# so at most 2^10 of them.
 @lru_cache(maxsize=64)
 def _trial_divisors(spec: FieldSpec, d: int) -> tuple[tuple, ...]:
     """The monic irreducibles of degree d, in encoding order: the monic h
@@ -170,8 +221,10 @@ def _trial_divisors(spec: FieldSpec, d: int) -> tuple[tuple, ...]:
 
 
 # An entry holds one bit per monic polynomial of degree below some n with
-# q^n <= ORACLE_CAP, so at most ORACLE_CAP bits, and the cache at most
-# 128 * 2^20 bits, 16 MiB.  One `verify --suite oracle` run reads 99 keys.
+# q^n <= ORACLE_CAP, or of degree at most n with q^(2n) <= ORACLE_CAP, so
+# at most ORACLE_CAP bits, and the cache at most 128 * 2^20 bits, 16 MiB.
+# One `verify --suite oracle` run reads 99 keys; a degree count reads at
+# most 127, for F_2 at degree 10, so a repeated count walks nothing.
 _MASK_CACHE_SIZE = 128
 
 

@@ -1,6 +1,31 @@
+import signal
+
 import pytest
 
 from lehmer_ff import field_from_order, field_make, lehmer_set_bruteforce
+
+# seconds a test may run; the slowest takes about 2.5 s
+TEST_TIME_LIMIT = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the running test once it has run TEST_TIME_LIMIT seconds, so a
+    kernel that loops forever fails one test instead of hanging the run."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past the {TEST_TIME_LIMIT} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -421,8 +421,9 @@ def test_only_the_renderer_writes_to_stdout():
 # -- start-up cost -------------------------------------------------------------
 
 # dataclasses brings inspect, ast, dis and tokenize; csv and signal serve
-# only CSV output and the console entry point, which import them there
-STARTUP_EXCLUDED = {"dataclasses", "inspect", "csv", "signal"}
+# only CSV output and the console entry point, which import them there;
+# fractions (with decimal and numbers) serves only c_factor, on first use
+STARTUP_EXCLUDED = {"dataclasses", "inspect", "csv", "signal", "fractions"}
 
 _IMPORT_CLI_SCRIPT = """
 import json, sys

@@ -53,6 +53,10 @@ SPEC_VALUE = (
 )
 POLY_API = "library API: Poly arithmetic, through which the tests check the kernels"
 BENCH_POLY = "bench/ calls it on Poly values in checks.py, probe.py or workloads.py"
+ONE_POLY_ORACLE = (
+    "named oracle for one polynomial up to ORACLE_CAP: tests/test_totient.py, the "
+    "criterion 7 test, tests/test_external_oracle.py and bench/probe.py call it"
+)
 
 # package functions that no call in CALLS enters, each with why it stays
 KEPT = {
@@ -95,6 +99,8 @@ KEPT = {
     "lehmer_search.mersenne_divisibility": (
         "named oracle: the tests and bench/probe.py check the one search against it"
     ),
+    "totient.totient_bruteforce": ONE_POLY_ORACLE,
+    "totient._trial_divisors": ONE_POLY_ORACLE,
     "lehmer_search.Partition.__str__": (
         "names the partition in exponent_map's InvalidInput, which no CLI call can raise"
     ),

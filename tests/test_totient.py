@@ -211,10 +211,11 @@ def test_bruteforce_equals_the_literal_count(q, max_deg, units):
     spec = field_from_order(q)
     scales = list(spec.units()) if units else [spec.element(1)]
     for n in range(1, max_deg + 1):
-        for monic in enumerate_polys(spec, n):
+        counts = totient_module._bruteforce_degree(spec, n)
+        for monic, count in zip(enumerate_polys(spec, n), counts, strict=True):
             for u in scales:
                 f = monic * u
-                assert totient_bruteforce(f) == coprime_residue_count(f), str(f)
+                assert totient_bruteforce(f) == count == coprime_residue_count(f), str(f)
 
 
 # one gcd per residue takes close to a minute here, so 2 s tells the two apart
@@ -272,8 +273,8 @@ def test_trial_divisors_are_the_irreducibles(q, max_deg):
 
 
 def recorded_walks(monkeypatch) -> list:
-    """The (q, divisor, degrees) of each multiples walk that
-    ``totient_bruteforce`` makes from here on."""
+    """The (q, divisor, degrees) of each multiples walk that the oracles
+    make from here on."""
     walked = []
     walk = totient_module._monic_multiples
 
@@ -303,8 +304,8 @@ def test_bruteforce_walks_each_irreducible_factor_once(q, max_deg, monkeypatch):
 
 
 def test_cold_oracle_suite_walks_each_divisor_once(monkeypatch):
-    """One walk per distinct (field, divisor, top degree) of the suite;
-    without the mask cache the suite makes 925 walks of these 99 keys."""
+    """One walk per (field, irreducible h, n) with deg h < n, for each
+    degree n of each field the suite counts with the sieve of multiples."""
     walked = recorded_walks(monkeypatch)
     totient_module._multiple_masks.cache_clear()
     assert suites_module.suite_oracle().ok
@@ -317,6 +318,66 @@ def test_warm_oracle_suite_walks_nothing(monkeypatch):
     cold = suites_module.suite_oracle().as_payload()
     walked.clear()
     assert suites_module.suite_oracle().as_payload() == cold
+    assert walked == []
+
+
+# every field family, each up to the size guard q^(2n) <= ORACLE_CAP
+@pytest.mark.parametrize(
+    "q,max_deg", [(2, 10), (3, 6), (4, 5), (5, 4), (9, 3), (32, 2)]
+)
+def test_degree_count_equals_the_one_polynomial_oracle(q, max_deg):
+    spec = field_from_order(q)
+    for n in range(1, max_deg + 1):
+        counts = totient_module._bruteforce_degree(spec, n)
+        for f, count in zip(enumerate_polys(spec, n), counts, strict=True):
+            assert count == totient_bruteforce(f), str(f)
+
+
+DIVISION_KERNELS = (
+    "_divmod_cv", "_reduce_cv", "_gcd_cv", "_powmod_cv",
+    "_degree_groups", "_least_factor_sieve", "_trial_divisors",
+)
+
+
+def test_degree_count_divides_nothing(monkeypatch):
+    fields = [(field_from_order(2), 7), (field_from_order(3), 4), (field_from_order(9), 2)]
+    expected = [
+        (spec, n, [totient(f) for f in enumerate_polys(spec, n)])
+        for spec, max_deg in fields
+        for n in range(1, max_deg + 1)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve of multiples must not divide, factor or sieve")
+
+    for module in (totient_module, fpoly_module):
+        for name in DIVISION_KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    totient_module._multiple_masks.cache_clear()
+    for spec, n, phis in expected:
+        assert totient_module._bruteforce_degree(spec, n) == phis, (spec.q, n)
+
+
+def test_degree_count_guard_walks_nothing(f2, monkeypatch):
+    walked = recorded_walks(monkeypatch)
+    totient_module._multiple_masks.cache_clear()
+    with pytest.raises(OracleOverflow):
+        totient_module._bruteforce_degree(f2, 11)
+    assert walked == []
+
+
+def test_cold_degree_count_walks_each_irreducible_once(f2, monkeypatch):
+    """The 127 irreducibles of degree below 10 over F_2, which all fit the
+    mask cache at once."""
+    walked = recorded_walks(monkeypatch)
+    totient_module._multiple_masks.cache_clear()
+    totient_module._bruteforce_degree(f2, 10)
+    below = [p.cv for d in range(1, 10) for p in irreducibles(f2, d)]
+    assert len(below) == 127
+    assert walked == [(2, pcv, range(10 - len(pcv) + 2)) for pcv in below]
+    walked.clear()
+    totient_module._bruteforce_degree(f2, 10)
     assert walked == []
 
 
